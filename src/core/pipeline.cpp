@@ -6,9 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -24,10 +26,31 @@ namespace dynamips::core {
 
 namespace {
 
+/// Record the time since `t` into `phase` and advance `t` to now. The
+/// study loop calls it only when metrics are on: with a null registry a
+/// pass has no meters, reads no clock and records nothing.
+void lap(obs::PhaseStats& phase, std::uint64_t& t) {
+  const std::uint64_t now = obs::now_ns();
+  phase.record(now - t);
+  t = now;
+}
+
+// --- shard kinds -----------------------------------------------------------
+//
+// A shard kind is one shard's private analysis state for one study plus
+// what the study pass needs to run it: `add` analyzes one item, `extract`
+// copies the finalized results into the study, `publish` records the
+// study-derived metrics, and `Meters` holds the metric handles `add`
+// records through. Meters are resolved once per shard range; the item
+// counter and production phase they start with are named by the source.
+
 /// One shard's private analyzer set for the Atlas study. The metrics sink
 /// is part of the shard state and merges through the same ordered
 /// reduction, so counter totals are independent of the thread count.
 struct AtlasShard {
+  using Study = AtlasStudy;
+  static constexpr std::string_view kName = "atlas";
+
   Sanitizer sanitizer;
   DurationAnalyzer durations;
   SpatialAnalyzer spatial;
@@ -37,6 +60,58 @@ struct AtlasShard {
   AtlasShard(const bgp::Rib& rib, const SanitizeOptions& sanitize,
              const ChangeOptions& changes)
       : sanitizer(rib, sanitize), durations(changes), spatial(rib) {}
+
+  struct Meters {
+    Meters(obs::MetricsSink& m, const char* items, const char* produce)
+        : probes(m.counter(items)),
+          generate(produce ? &m.phase(produce) : nullptr),
+          records(m.counter("atlas.echo_records")),
+          clean(m.counter("atlas.clean_probes")),
+          records_per_probe(m.histogram("atlas.records_per_probe", 0, 6, 5)),
+          sanitize(m.phase("atlas.sanitize")),
+          durations(m.phase("atlas.durations.add")),
+          spatial(m.phase("atlas.spatial.add")),
+          inference(m.phase("atlas.inference.add")) {}
+
+    obs::Counter& probes;
+    obs::PhaseStats* generate;
+    obs::Counter& records;
+    obs::Counter& clean;
+    obs::Histogram& records_per_probe;
+    obs::PhaseStats& sanitize;
+    obs::PhaseStats& durations;
+    obs::PhaseStats& spatial;
+    obs::PhaseStats& inference;
+  };
+
+  /// Analyze one probe's series. `m` is null when metrics are off; `t` is
+  /// the clock read taken before the item was produced.
+  void add(const atlas::ProbeSeries& series, Meters* m, std::uint64_t t) {
+    const ProbeObservations probe = from_series(series);
+    if (m) {
+      // The generate phase spans producing the series and converting it.
+      if (m->generate)
+        lap(*m->generate, t);
+      else
+        t = obs::now_ns();
+      m->probes.add(1);
+      m->records.add(series.records.size());
+      m->records_per_probe.record(double(series.records.size()));
+    }
+    const std::vector<CleanProbe> cleaned = sanitizer.sanitize(probe);
+    if (m) {
+      lap(m->sanitize, t);
+      m->clean.add(cleaned.size());
+    }
+    for (const CleanProbe& cp : cleaned) {
+      durations.add(cp);
+      if (m) lap(m->durations, t);
+      spatial.add(cp);
+      if (m) lap(m->spatial, t);
+      inference.add(cp);
+      if (m) lap(m->inference, t);
+    }
+  }
 
   void merge(AtlasShard&& other) {
     sanitizer.merge(std::move(other.sanitizer));
@@ -53,6 +128,19 @@ struct AtlasShard {
     inference.finalize();
   }
 
+  /// Non-consuming extraction: snapshot() yields the finalized results and
+  /// leaves the accumulators intact (the streaming driver relies on this).
+  void extract(AtlasStudy& study) const {
+    study.sanitize = sanitizer.snapshot();
+    study.durations = durations.snapshot();
+    study.spatial = spatial.snapshot();
+    InferenceSnapshot inferred = inference.snapshot();
+    study.subscriber_inference = std::move(inferred.subscriber);
+    study.pool_inference = std::move(inferred.pools);
+  }
+
+  void publish(const AtlasStudy& study) { study.sanitize.publish(metrics); }
+
   void save(io::ckpt::Writer& w) const {
     sanitizer.save(w);
     durations.save(w);
@@ -67,8 +155,11 @@ struct AtlasShard {
 };
 
 /// One shard's private state for the CDN study (analyzer + metrics sink),
-/// mirroring AtlasShard so both studies checkpoint through the same path.
+/// mirroring AtlasShard so both studies run through the same pass.
 struct CdnShard {
+  using Study = CdnStudy;
+  static constexpr std::string_view kName = "cdn";
+
   CdnAnalyzer analyzer;
   obs::MetricsSink metrics;
 
@@ -76,12 +167,51 @@ struct CdnShard {
            const std::unordered_set<bgp::Asn>& mobile_asns)
       : analyzer(options, mobile_asns) {}
 
+  struct Meters {
+    Meters(obs::MetricsSink& m, const char* items, const char* produce)
+        : logs(m.counter(items)),
+          generate(produce ? &m.phase(produce) : nullptr),
+          tuples(m.counter("cdn.association_tuples")),
+          tuples_per_log(m.histogram("cdn.tuples_per_log", 0, 8, 5)),
+          analyzer_add(m.phase("cdn.analyzer.add")) {}
+
+    obs::Counter& logs;
+    obs::PhaseStats* generate;
+    obs::Counter& tuples;
+    obs::Histogram& tuples_per_log;
+    obs::PhaseStats& analyzer_add;
+  };
+
+  /// Analyze one log; see AtlasShard::add.
+  void add(const cdn::AssociationLog& log, Meters* m, std::uint64_t t) {
+    if (m) {
+      if (m->generate) lap(*m->generate, t);
+      m->logs.add(1);
+      m->tuples.add(log.records.size());
+      m->tuples_per_log.record(double(log.records.size()));
+    }
+    analyzer.add(log);
+    if (m) lap(m->analyzer_add, t);
+  }
+
   void merge(CdnShard&& other) {
     analyzer.merge(std::move(other.analyzer));
     metrics.merge(std::move(other.metrics));
   }
 
   void finalize() { analyzer.finalize(); }
+
+  void extract(CdnStudy& study) const { study.analyzer = analyzer.snapshot(); }
+
+  void publish(const CdnStudy& study) {
+    metrics.counter("cdn.tuples_kept").add(study.analyzer.total_tuples());
+    metrics.counter("cdn.tuples_mismatched")
+        .add(study.analyzer.total_mismatched());
+    // Spill accounting lives on the analyzer, never in snapshots or
+    // checkpoints; resumed shards therefore report only their own spills.
+    metrics.counter("cdn.spill_runs").add(analyzer.spill_runs());
+    metrics.counter("cdn.spill_bytes").add(analyzer.spill_bytes());
+  }
 
   void save(io::ckpt::Writer& w) const {
     analyzer.save(w);
@@ -168,21 +298,6 @@ std::uint64_t atlas_gen_fingerprint(
   return io::ckpt::fnv1a(w.buffer());
 }
 
-std::uint64_t atlas_file_fingerprint(
-    const std::vector<std::string>& paths,
-    const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config) {
-  io::ckpt::Writer w;
-  w.str("atlas.files");
-  w.u64(paths.size());
-  for (const auto& path : paths) w.str(path);
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
-  fingerprint_atlas_analysis(w, config.sanitize, config.changes, isps,
-                             config.metrics != nullptr);
-  return io::ckpt::fnv1a(w.buffer());
-}
-
 void fingerprint_assoc(io::ckpt::Writer& w, const AssocOptions& assoc) {
   w.u8(assoc.require_asn_match ? 1 : 0);
   w.u32(assoc.max_gap_days);
@@ -208,28 +323,21 @@ std::uint64_t cdn_gen_fingerprint(
   return io::ckpt::fnv1a(w.buffer());
 }
 
-std::uint64_t cdn_file_fingerprint(const std::vector<std::string>& paths,
-                                   const CdnFileStudyConfig& config) {
+/// The start of a file or stream study's fingerprint: the tag
+/// `<study>.files` plus the input paths for a file study, the tag
+/// `<study>.stream` alone for a stream — a stream's batch list grows over
+/// its lifetime and is validated separately through the checkpoint's
+/// consumed-batch high-water mark. The rest of the two fingerprints is the
+/// same bytes.
+io::ckpt::Writer dataset_fingerprint_head(
+    std::string_view study, const std::vector<std::string>* paths) {
   io::ckpt::Writer w;
-  w.str("cdn.files");
-  w.u64(paths.size());
-  for (const auto& path : paths) w.str(path);
-  fingerprint_assoc(w, config.assoc);
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
-  // Unordered-set iteration order is not canonical; sort before hashing.
-  std::vector<bgp::Asn> mobile(config.mobile_asns.begin(),
-                               config.mobile_asns.end());
-  std::sort(mobile.begin(), mobile.end());
-  w.u64(mobile.size());
-  for (bgp::Asn asn : mobile) w.u32(asn);
-  w.u64(config.registries.size());
-  for (const auto& [asn, registry] : config.registries) {
-    w.u32(asn);
-    w.u8(std::uint8_t(registry));
+  w.str(std::string(study) + (paths ? ".files" : ".stream"));
+  if (paths) {
+    w.u64(paths->size());
+    for (const auto& path : *paths) w.str(path);
   }
-  w.u8(config.metrics != nullptr ? 1 : 0);
-  return io::ckpt::fnv1a(w.buffer());
+  return w;
 }
 
 // --- resume validation and state restore ---------------------------------
@@ -469,6 +577,158 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
   }
 }
 
+// --- item sources ----------------------------------------------------------
+//
+// A source hands the study pass its items [0, size()) by index and names
+// its own metrics: the item counter, the phase timing each item's
+// production (generators only; loaded datasets are timed once, as
+// `<study>.ingest`), and what it folds into the pass's metrics at the end.
+// Generated items are returned by value, stored ones by const reference,
+// so the in-memory source never copies the dataset.
+
+struct AtlasGenerator {
+  static constexpr const char* items_counter = "atlas.probes_generated";
+  static constexpr const char* produce_phase = "atlas.generate";
+  const atlas::AtlasSimulator& sim;
+
+  std::size_t size() const { return sim.probe_count(); }
+  // Per-probe generation is a pure function of (config, isps, index), so
+  // shards share the simulator read-only.
+  atlas::ProbeSeries item(std::size_t i) const { return sim.series_for(i); }
+  /// `complete` is false for an interrupted pass.
+  void publish(obs::MetricsSink& m, bool complete) const {
+    if (complete) sim.publish_metrics(m);
+  }
+};
+
+struct CdnGenerator {
+  static constexpr const char* items_counter = "cdn.logs_generated";
+  static constexpr const char* produce_phase = "cdn.generate";
+  const cdn::CdnSimulator& sim;
+
+  std::size_t size() const { return sim.entry_count(); }
+  cdn::AssociationLog item(std::size_t i) const { return sim.generate(i); }
+  void publish(obs::MetricsSink& m, bool complete) const {
+    if (complete) sim.publish_metrics(m);
+  }
+};
+
+template <typename Item>
+struct InMemory {
+  static constexpr const char* produce_phase = nullptr;
+  const std::vector<Item>& items;
+  const char* items_counter;
+  /// Ingest metrics, folded in whether or not the pass completes; null
+  /// when there are none.
+  obs::MetricsSink* ingest;
+
+  std::size_t size() const { return items.size(); }
+  const Item& item(std::size_t i) const { return items[i]; }
+  void publish(obs::MetricsSink& m, bool) const {
+    if (ingest) m.merge(std::move(*ingest));
+  }
+};
+
+// --- the study pass ----------------------------------------------------------
+//
+// One full sharded analysis of `source`: plan (or restore) the shard
+// partition, drive the shards through `exec`, reduce in index order, and
+// extract the finalized results into `study` via the analyzers'
+// non-consuming snapshot()s. Every study runs through here — generator
+// runs, one-shot _from_files runs and the streaming driver's
+// re-finalization passes — which is what makes a clean export's file study
+// byte-identical to the generator run, and an incremental stream
+// byte-identical to a one-shot run over the same batches. `metrics` is
+// passed explicitly (not read from the study config) so the streaming
+// driver can run intermediate passes unrecorded and record only the final
+// one.
+
+template <typename Kind, typename Source, typename MakeShard>
+Status analysis_pass(const Source& source, const MakeShard& make_shard,
+                     obs::MetricsRegistry* metrics, ShardExecutor& exec,
+                     const CheckpointConfig& cc, std::uint32_t kind,
+                     std::uint64_t fingerprint,
+                     typename Kind::Study& study) {
+  const std::string name(Kind::kName);
+  ShardPlan plan;
+  Status planned = plan_shards(cc, kind, fingerprint, source.size(),
+                               exec.thread_count(), plan);
+  if (!planned.ok()) return planned;
+
+  std::vector<Kind> shards;
+  shards.reserve(plan.ranges.size());
+  for (std::size_t s = 0; s < plan.ranges.size(); ++s)
+    shards.push_back(make_shard());
+  obs::MetricsSink sup;
+  Status restored = restore_shards(cc, shards, sup, metrics);
+  if (!restored.ok()) return restored;
+
+  // Each shard writes only its own state, so shards race on nothing.
+  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
+    Kind& shard = shards[s];
+    std::optional<typename Kind::Meters> meters;
+    if (metrics)
+      meters.emplace(shard.metrics, source.items_counter,
+                     source.produce_phase);
+    typename Kind::Meters* m = meters ? &*meters : nullptr;
+    const std::uint64_t shard_start = m ? obs::now_ns() : 0;
+    for (std::size_t i = from; i < to; ++i) {
+      const std::uint64_t t = m ? obs::now_ns() : 0;
+      shard.add(source.item(i), m, t);
+    }
+    if (m)
+      shard.metrics.phase(name + ".shard_wall")
+          .record(obs::now_ns() - shard_start);
+  };
+  auto save_shard = [&](std::size_t s) {
+    io::ckpt::Writer w;
+    shards[s].save(w);
+    return w.take();
+  };
+
+  Status drove = drive_shards(exec, cc, kind, fingerprint, source.size(),
+                              plan, metrics, sup, process, save_shard);
+  if (!drove.ok()) {
+    // The checkpoint (if any) is already durable; fold the partial shard
+    // sinks into the registry so an interrupted tool run can still report.
+    if (metrics) {
+      obs::MetricsSink partial;
+      for (Kind& shard : shards) partial.merge(std::move(shard.metrics));
+      source.publish(partial, /*complete=*/false);
+      partial.merge(std::move(sup));
+      metrics->merge(std::move(partial));
+    }
+    return drove;
+  }
+
+  std::vector<std::uint64_t> shard_ns;
+  if (metrics)
+    for (Kind& shard : shards)
+      shard_ns.push_back(shard.metrics.phase(name + ".shard_wall").total_ns);
+
+  // Ordered reduction: shard 0 absorbs the rest in index order, which keeps
+  // every append-ordered vector in the exact order of the serial run.
+  Kind& root = shards.front();
+  const std::uint64_t t0 = metrics ? obs::now_ns() : 0;
+  for (std::size_t s = 1; s < shards.size(); ++s)
+    root.merge(std::move(shards[s]));
+  const std::uint64_t t1 = metrics ? obs::now_ns() : 0;
+  root.finalize();
+  root.extract(study);
+  if (!metrics) return Status::Ok();
+
+  obs::MetricsSink& m = root.metrics;
+  m.phase(name + ".merge").record(t1 - t0);
+  m.phase(name + ".finalize").record(obs::now_ns() - t1);
+  root.publish(study);
+  source.publish(m, /*complete=*/true);
+  m.gauge(name + ".shards").set(double(plan.ranges.size()));
+  m.gauge(name + ".shard_imbalance").set(imbalance_ratio(shard_ns));
+  m.merge(std::move(sup));
+  metrics->merge(std::move(m));
+  return Status::Ok();
+}
+
 }  // namespace
 
 Expected<AtlasStudy> run_atlas_study_supervised(
@@ -479,138 +739,13 @@ Expected<AtlasStudy> run_atlas_study_supervised(
   for (const auto& isp : isps) study.as_names[isp.asn] = isp.name;
 
   atlas::AtlasSimulator sim(isps, config.atlas);
-  const std::uint64_t fingerprint = atlas_gen_fingerprint(isps, config);
-
   ShardExecutor exec(config.threads);
-  ShardPlan plan;
-  Status planned = plan_shards(checkpoint, io::kCkptAtlasGen, fingerprint,
-                               sim.probe_count(), exec.thread_count(), plan);
-  if (!planned.ok()) return planned.with_context("atlas study");
-
-  std::vector<AtlasShard> shards;
-  shards.reserve(plan.ranges.size());
-  for (std::size_t s = 0; s < plan.ranges.size(); ++s)
-    shards.emplace_back(study.rib, config.sanitize, config.changes);
-  obs::MetricsSink sup;
-  Status restored =
-      restore_shards(checkpoint, shards, sup, config.metrics);
-  if (!restored.ok()) return restored.with_context("atlas study");
-
-  // Per-probe generation is a pure function of (config, isps, index), and
-  // each shard writes only its own analyzer set, so shards race on nothing.
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    AtlasShard& shard = shards[s];
-    if (!config.metrics) {
-      for (std::size_t i = from; i < to; ++i) {
-        ProbeObservations obs = from_series(sim.series_for(i));
-        for (const CleanProbe& cp : shard.sanitizer.sanitize(obs)) {
-          shard.durations.add(cp);
-          shard.spatial.add(cp);
-          shard.inference.add(cp);
-        }
-      }
-      return;
-    }
-    // Instrumented variant of the loop above: identical analyzer calls,
-    // plus shard-local counters and per-phase spans (no shared state).
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_probes = m.counter("atlas.probes_generated");
-    obs::Counter& c_records = m.counter("atlas.echo_records");
-    obs::Counter& c_clean = m.counter("atlas.clean_probes");
-    obs::Histogram& h_records = m.histogram("atlas.records_per_probe", 0, 6, 5);
-    obs::PhaseStats& p_gen = m.phase("atlas.generate");
-    obs::PhaseStats& p_san = m.phase("atlas.sanitize");
-    obs::PhaseStats& p_dur = m.phase("atlas.durations.add");
-    obs::PhaseStats& p_spa = m.phase("atlas.spatial.add");
-    obs::PhaseStats& p_inf = m.phase("atlas.inference.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      std::uint64_t t0 = obs::now_ns();
-      atlas::ProbeSeries series = sim.series_for(i);
-      ProbeObservations obs = from_series(series);
-      std::uint64_t t1 = obs::now_ns();
-      p_gen.record(t1 - t0);
-      c_probes.add(1);
-      c_records.add(series.records.size());
-      h_records.record(double(series.records.size()));
-      auto cleaned = shard.sanitizer.sanitize(obs);
-      std::uint64_t t2 = obs::now_ns();
-      p_san.record(t2 - t1);
-      c_clean.add(cleaned.size());
-      for (const CleanProbe& cp : cleaned) {
-        std::uint64_t a0 = obs::now_ns();
-        shard.durations.add(cp);
-        std::uint64_t a1 = obs::now_ns();
-        shard.spatial.add(cp);
-        std::uint64_t a2 = obs::now_ns();
-        shard.inference.add(cp);
-        std::uint64_t a3 = obs::now_ns();
-        p_dur.record(a1 - a0);
-        p_spa.record(a2 - a1);
-        p_inf.record(a3 - a2);
-      }
-    }
-    m.phase("atlas.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove =
-      drive_shards(exec, checkpoint, io::kCkptAtlasGen, fingerprint,
-                   sim.probe_count(), plan, config.metrics, sup, process,
-                   save_shard);
-  if (!drove.ok()) {
-    // The checkpoint (if any) is already durable; fold the partial shard
-    // sinks into the registry so an interrupted tool run can still report.
-    if (config.metrics) {
-      obs::MetricsSink partial;
-      for (AtlasShard& shard : shards) partial.merge(std::move(shard.metrics));
-      partial.merge(std::move(sup));
-      config.metrics->merge(std::move(partial));
-    }
-    return drove.with_context("atlas study");
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (config.metrics)
-    for (AtlasShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("atlas.shard_wall").total_ns);
-
-  // Ordered reduction: shard 0 absorbs the rest in index order, which keeps
-  // every append-ordered vector in the exact order of the serial run.
-  AtlasShard& root = shards.front();
-  {
-    std::uint64_t t0 = config.metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      root.merge(std::move(shards[s]));
-    std::uint64_t t1 = config.metrics ? obs::now_ns() : 0;
-    root.finalize();
-    if (config.metrics) {
-      root.metrics.phase("atlas.merge").record(t1 - t0);
-      root.metrics.phase("atlas.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  // Non-consuming extraction: snapshot() yields the finalized results and
-  // leaves the accumulators intact (the streaming driver relies on this).
-  study.sanitize = root.sanitizer.snapshot();
-  study.durations = root.durations.snapshot();
-  study.spatial = root.spatial.snapshot();
-  InferenceSnapshot inferred = root.inference.snapshot();
-  study.subscriber_inference = std::move(inferred.subscriber);
-  study.pool_inference = std::move(inferred.pools);
-
-  if (config.metrics) {
-    study.sanitize.publish(root.metrics);
-    sim.publish_metrics(root.metrics);
-    root.metrics.gauge("atlas.shards").set(double(plan.ranges.size()));
-    root.metrics.gauge("atlas.shard_imbalance").set(imbalance_ratio(shard_ns));
-    root.metrics.merge(std::move(sup));
-    config.metrics->merge(std::move(root.metrics));
-  }
+  Status ran = analysis_pass<AtlasShard>(
+      AtlasGenerator{sim},
+      [&] { return AtlasShard(study.rib, config.sanitize, config.changes); },
+      config.metrics, exec, checkpoint, io::kCkptAtlasGen,
+      atlas_gen_fingerprint(isps, config), study);
+  if (!ran.ok()) return ran.with_context("atlas study");
   return study;
 }
 
@@ -629,101 +764,13 @@ Expected<CdnStudy> run_cdn_study_supervised(
   for (const auto& entry : population)
     study.asn_names[entry.isp.asn] = entry.isp.name;
 
-  const std::uint64_t fingerprint = cdn_gen_fingerprint(population, config);
-
-  ShardExecutor exec(config.threads);
-  ShardPlan plan;
-  Status planned = plan_shards(checkpoint, io::kCkptCdnGen, fingerprint,
-                               sim.entry_count(), exec.thread_count(), plan);
-  if (!planned.ok()) return planned.with_context("cdn study");
-
   const std::unordered_set<bgp::Asn> mobile = sim.mobile_asns();
-  std::vector<CdnShard> shards(plan.ranges.size(),
-                               CdnShard(config.assoc, mobile));
-  obs::MetricsSink sup;
-  Status restored =
-      restore_shards(checkpoint, shards, sup, config.metrics);
-  if (!restored.ok()) return restored.with_context("cdn study");
-
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    CdnShard& shard = shards[s];
-    if (!config.metrics) {
-      for (std::size_t i = from; i < to; ++i)
-        shard.analyzer.add(sim.generate(i));
-      return;
-    }
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_logs = m.counter("cdn.logs_generated");
-    obs::Counter& c_tuples = m.counter("cdn.association_tuples");
-    obs::Histogram& h_tuples = m.histogram("cdn.tuples_per_log", 0, 8, 5);
-    obs::PhaseStats& p_gen = m.phase("cdn.generate");
-    obs::PhaseStats& p_add = m.phase("cdn.analyzer.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      std::uint64_t t0 = obs::now_ns();
-      cdn::AssociationLog log = sim.generate(i);
-      std::uint64_t t1 = obs::now_ns();
-      p_gen.record(t1 - t0);
-      c_logs.add(1);
-      c_tuples.add(log.records.size());
-      h_tuples.record(double(log.records.size()));
-      shard.analyzer.add(log);
-      p_add.record(obs::now_ns() - t1);
-    }
-    m.phase("cdn.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove =
-      drive_shards(exec, checkpoint, io::kCkptCdnGen, fingerprint,
-                   sim.entry_count(), plan, config.metrics, sup, process,
-                   save_shard);
-  if (!drove.ok()) {
-    if (config.metrics) {
-      obs::MetricsSink partial;
-      for (CdnShard& shard : shards) partial.merge(std::move(shard.metrics));
-      partial.merge(std::move(sup));
-      config.metrics->merge(std::move(partial));
-    }
-    return drove.with_context("cdn study");
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (config.metrics)
-    for (CdnShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("cdn.shard_wall").total_ns);
-
-  {
-    std::uint64_t t0 = config.metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      shards.front().merge(std::move(shards[s]));
-    std::uint64_t t1 = config.metrics ? obs::now_ns() : 0;
-    shards.front().finalize();
-    study.analyzer = shards.front().analyzer.snapshot();
-    if (config.metrics) {
-      shards.front().metrics.phase("cdn.merge").record(t1 - t0);
-      shards.front().metrics.phase("cdn.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  if (config.metrics) {
-    obs::MetricsSink& m = shards.front().metrics;
-    m.counter("cdn.tuples_kept").add(study.analyzer.total_tuples());
-    m.counter("cdn.tuples_mismatched").add(study.analyzer.total_mismatched());
-    // Spill accounting lives on the analyzer, never in snapshots or
-    // checkpoints; resumed shards therefore report only their own spills.
-    m.counter("cdn.spill_runs").add(shards.front().analyzer.spill_runs());
-    m.counter("cdn.spill_bytes").add(shards.front().analyzer.spill_bytes());
-    sim.publish_metrics(m);
-    m.gauge("cdn.shards").set(double(plan.ranges.size()));
-    m.gauge("cdn.shard_imbalance").set(imbalance_ratio(shard_ns));
-    m.merge(std::move(sup));
-    config.metrics->merge(std::move(m));
-  }
+  ShardExecutor exec(config.threads);
+  Status ran = analysis_pass<CdnShard>(
+      CdnGenerator{sim}, [&] { return CdnShard(config.assoc, mobile); },
+      config.metrics, exec, checkpoint, io::kCkptCdnGen,
+      cdn_gen_fingerprint(population, config), study);
+  if (!ran.ok()) return ran.with_context("cdn study");
   return study;
 }
 
@@ -732,365 +779,6 @@ CdnStudy run_cdn_study(const std::vector<cdn::PopulationEntry>& population,
   auto study = run_cdn_study_supervised(population, config, {});
   if (!study.ok()) throw std::runtime_error(study.status().to_string());
   return study.take();
-}
-
-// ------------------------------------------------- file-driven entrypoints
-
-namespace {
-
-/// Load one dataset file after another through the given loader,
-/// accumulating into `dataset` (shared codepath of both from_files
-/// entrypoints). The loader dispatches CSV vs columnar by extension
-/// (io::load_echo_file / io::load_assoc_file), so `.col` batches ride
-/// alongside `.csv` in any input list.
-template <typename Loader, typename Merger, typename Dataset>
-Status load_dataset_files(const std::vector<std::string>& paths,
-                          const io::ReaderOptions& reader,
-                          io::IngestStats* ingest, Loader&& load,
-                          Merger&& merge_into, Dataset& dataset) {
-  for (const auto& path : paths) {
-    auto part = load(path, reader, ingest);
-    if (!part.ok()) {
-      Status st = part.status();
-      return st.with_context(path);
-    }
-    merge_into(dataset, part.take());
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-namespace {
-
-// --- shared analysis passes ----------------------------------------------
-//
-// One full sharded analysis over an in-memory dataset: plan (or restore)
-// the shard partition, drive the shards through `exec`, reduce in index
-// order, and extract the finalized results into `study` via the analyzers'
-// non-consuming snapshot()s. Both the one-shot _from_files entrypoints and
-// the streaming driver's re-finalization passes run through here, which is
-// what makes an incremental stream byte-identical to a one-shot run over
-// the same batches. `metrics` is passed explicitly (not read from the study
-// config) so the streaming driver can run intermediate passes unrecorded
-// and record only the final one; `ingest_sink`, when non-null, is folded
-// into the registry alongside the per-shard sinks.
-
-Status atlas_analysis_pass(const std::vector<atlas::ProbeSeries>& dataset,
-                           const SanitizeOptions& sanitize,
-                           const ChangeOptions& changes,
-                           obs::MetricsRegistry* metrics, ShardExecutor& exec,
-                           const CheckpointConfig& cc, std::uint32_t kind,
-                           std::uint64_t fingerprint,
-                           obs::MetricsSink* ingest_sink, AtlasStudy& study) {
-  ShardPlan plan;
-  Status planned = plan_shards(cc, kind, fingerprint, dataset.size(),
-                               exec.thread_count(), plan);
-  if (!planned.ok()) return planned;
-
-  std::vector<AtlasShard> shards;
-  shards.reserve(plan.ranges.size());
-  for (std::size_t s = 0; s < plan.ranges.size(); ++s)
-    shards.emplace_back(study.rib, sanitize, changes);
-  obs::MetricsSink sup;
-  Status restored = restore_shards(cc, shards, sup, metrics);
-  if (!restored.ok()) return restored;
-
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    AtlasShard& shard = shards[s];
-    if (!metrics) {
-      for (std::size_t i = from; i < to; ++i) {
-        ProbeObservations obs = from_series(dataset[i]);
-        for (const CleanProbe& cp : shard.sanitizer.sanitize(obs)) {
-          shard.durations.add(cp);
-          shard.spatial.add(cp);
-          shard.inference.add(cp);
-        }
-      }
-      return;
-    }
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_probes = m.counter("atlas.probes_loaded");
-    obs::Counter& c_records = m.counter("atlas.echo_records");
-    obs::Counter& c_clean = m.counter("atlas.clean_probes");
-    obs::Histogram& h_records = m.histogram("atlas.records_per_probe", 0, 6, 5);
-    obs::PhaseStats& p_san = m.phase("atlas.sanitize");
-    obs::PhaseStats& p_dur = m.phase("atlas.durations.add");
-    obs::PhaseStats& p_spa = m.phase("atlas.spatial.add");
-    obs::PhaseStats& p_inf = m.phase("atlas.inference.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      const atlas::ProbeSeries& series = dataset[i];
-      ProbeObservations obs = from_series(series);
-      std::uint64_t t1 = obs::now_ns();
-      c_probes.add(1);
-      c_records.add(series.records.size());
-      h_records.record(double(series.records.size()));
-      auto cleaned = shard.sanitizer.sanitize(obs);
-      std::uint64_t t2 = obs::now_ns();
-      p_san.record(t2 - t1);
-      c_clean.add(cleaned.size());
-      for (const CleanProbe& cp : cleaned) {
-        std::uint64_t a0 = obs::now_ns();
-        shard.durations.add(cp);
-        std::uint64_t a1 = obs::now_ns();
-        shard.spatial.add(cp);
-        std::uint64_t a2 = obs::now_ns();
-        shard.inference.add(cp);
-        std::uint64_t a3 = obs::now_ns();
-        p_dur.record(a1 - a0);
-        p_spa.record(a2 - a1);
-        p_inf.record(a3 - a2);
-      }
-    }
-    m.phase("atlas.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove = drive_shards(exec, cc, kind, fingerprint, dataset.size(),
-                              plan, metrics, sup, process, save_shard);
-  if (!drove.ok()) {
-    // The checkpoint (if any) is already durable; fold the partial shard
-    // sinks into the registry so an interrupted tool run can still report.
-    if (metrics) {
-      obs::MetricsSink partial;
-      for (AtlasShard& shard : shards) partial.merge(std::move(shard.metrics));
-      if (ingest_sink) partial.merge(std::move(*ingest_sink));
-      partial.merge(std::move(sup));
-      metrics->merge(std::move(partial));
-    }
-    return drove;
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (metrics)
-    for (AtlasShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("atlas.shard_wall").total_ns);
-
-  // Ordered reduction: shard 0 absorbs the rest in index order, which keeps
-  // every append-ordered vector in the exact order of the serial run.
-  AtlasShard& root = shards.front();
-  {
-    std::uint64_t t0 = metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      root.merge(std::move(shards[s]));
-    std::uint64_t t1 = metrics ? obs::now_ns() : 0;
-    root.finalize();
-    if (metrics) {
-      root.metrics.phase("atlas.merge").record(t1 - t0);
-      root.metrics.phase("atlas.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  // Non-consuming extraction; the accumulators stay valid for further adds.
-  study.sanitize = root.sanitizer.snapshot();
-  study.durations = root.durations.snapshot();
-  study.spatial = root.spatial.snapshot();
-  InferenceSnapshot inferred = root.inference.snapshot();
-  study.subscriber_inference = std::move(inferred.subscriber);
-  study.pool_inference = std::move(inferred.pools);
-
-  if (metrics) {
-    study.sanitize.publish(root.metrics);
-    root.metrics.gauge("atlas.shards").set(double(plan.ranges.size()));
-    root.metrics.gauge("atlas.shard_imbalance").set(imbalance_ratio(shard_ns));
-    if (ingest_sink) root.metrics.merge(std::move(*ingest_sink));
-    root.metrics.merge(std::move(sup));
-    metrics->merge(std::move(root.metrics));
-  }
-  return Status::Ok();
-}
-
-Status cdn_analysis_pass(std::vector<cdn::AssociationLog>& dataset,
-                         const AssocOptions& assoc,
-                         const std::unordered_set<bgp::Asn>& mobile_asns,
-                         const std::map<bgp::Asn, bgp::Registry>& registries,
-                         obs::MetricsRegistry* metrics, ShardExecutor& exec,
-                         const CheckpointConfig& cc, std::uint32_t kind,
-                         std::uint64_t fingerprint,
-                         obs::MetricsSink* ingest_sink, CdnStudy& study) {
-  // The CSV schema carries no access-type or registry attribution; graft
-  // the caller's ground truth onto the loaded logs. Idempotent — the
-  // streaming driver re-grafts on every re-finalization pass.
-  for (auto& log : dataset) {
-    log.mobile = mobile_asns.count(log.asn) > 0;
-    auto reg = registries.find(log.asn);
-    log.registry =
-        reg == registries.end() ? bgp::Registry::kRipe : reg->second;
-  }
-
-  ShardPlan plan;
-  Status planned = plan_shards(cc, kind, fingerprint, dataset.size(),
-                               exec.thread_count(), plan);
-  if (!planned.ok()) return planned;
-
-  std::vector<CdnShard> shards(plan.ranges.size(),
-                               CdnShard(assoc, mobile_asns));
-  obs::MetricsSink sup;
-  Status restored = restore_shards(cc, shards, sup, metrics);
-  if (!restored.ok()) return restored;
-
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    CdnShard& shard = shards[s];
-    if (!metrics) {
-      for (std::size_t i = from; i < to; ++i) shard.analyzer.add(dataset[i]);
-      return;
-    }
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_logs = m.counter("cdn.logs_loaded");
-    obs::Counter& c_tuples = m.counter("cdn.association_tuples");
-    obs::Histogram& h_tuples = m.histogram("cdn.tuples_per_log", 0, 8, 5);
-    obs::PhaseStats& p_add = m.phase("cdn.analyzer.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      const cdn::AssociationLog& log = dataset[i];
-      std::uint64_t t0 = obs::now_ns();
-      c_logs.add(1);
-      c_tuples.add(log.records.size());
-      h_tuples.record(double(log.records.size()));
-      shard.analyzer.add(log);
-      p_add.record(obs::now_ns() - t0);
-    }
-    m.phase("cdn.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove = drive_shards(exec, cc, kind, fingerprint, dataset.size(),
-                              plan, metrics, sup, process, save_shard);
-  if (!drove.ok()) {
-    if (metrics) {
-      obs::MetricsSink partial;
-      for (CdnShard& shard : shards) partial.merge(std::move(shard.metrics));
-      if (ingest_sink) partial.merge(std::move(*ingest_sink));
-      partial.merge(std::move(sup));
-      metrics->merge(std::move(partial));
-    }
-    return drove;
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (metrics)
-    for (CdnShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("cdn.shard_wall").total_ns);
-
-  {
-    std::uint64_t t0 = metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      shards.front().merge(std::move(shards[s]));
-    std::uint64_t t1 = metrics ? obs::now_ns() : 0;
-    shards.front().finalize();
-    study.analyzer = shards.front().analyzer.snapshot();
-    if (metrics) {
-      shards.front().metrics.phase("cdn.merge").record(t1 - t0);
-      shards.front().metrics.phase("cdn.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  if (metrics) {
-    obs::MetricsSink& m = shards.front().metrics;
-    m.counter("cdn.tuples_kept").add(study.analyzer.total_tuples());
-    m.counter("cdn.tuples_mismatched").add(study.analyzer.total_mismatched());
-    m.counter("cdn.spill_runs").add(shards.front().analyzer.spill_runs());
-    m.counter("cdn.spill_bytes").add(shards.front().analyzer.spill_bytes());
-    m.gauge("cdn.shards").set(double(plan.ranges.size()));
-    m.gauge("cdn.shard_imbalance").set(imbalance_ratio(shard_ns));
-    if (ingest_sink) m.merge(std::move(*ingest_sink));
-    m.merge(std::move(sup));
-    metrics->merge(std::move(m));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Expected<AtlasStudy> run_atlas_study_from_files(
-    const std::vector<std::string>& paths,
-    const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config, io::IngestStats* ingest,
-    const CheckpointConfig& checkpoint) {
-  AtlasStudy study;
-  simnet::announce_all(isps, study.rib);
-  for (const auto& isp : isps) study.as_names[isp.asn] = isp.name;
-
-  // Ingest metrics land in a local sink merged into the registry at the
-  // end, like every per-shard sink (no locks while loading). The sink is
-  // never checkpointed: a resumed run re-ingests the same files and
-  // reproduces identical ingest counters.
-  obs::MetricsSink ingest_sink;
-  io::ReaderOptions ropts = config.reader;
-  if (config.metrics && !ropts.metrics) ropts.metrics = &ingest_sink;
-
-  std::vector<atlas::ProbeSeries> dataset;
-  const std::uint64_t load_start = obs::now_ns();
-  Status loaded = load_dataset_files(
-      paths, ropts, ingest,
-      [](const std::string& path, const io::ReaderOptions& r,
-         io::IngestStats* st) { return io::load_echo_file(path, r, st); },
-      [](std::vector<atlas::ProbeSeries>& into,
-         std::vector<atlas::ProbeSeries>&& more) {
-        io::merge_echo_datasets(into, std::move(more));
-      },
-      dataset);
-  if (!loaded.ok()) return loaded.with_context("atlas study");
-  const std::uint64_t load_ns = obs::now_ns() - load_start;
-  if (ingest) ingest->load_wall_ns += load_ns;
-  if (config.metrics) ingest_sink.phase("atlas.ingest").record(load_ns);
-
-  const std::uint64_t fingerprint =
-      atlas_file_fingerprint(paths, isps, config);
-
-  ShardExecutor exec(config.threads);
-  Status ran = atlas_analysis_pass(dataset, config.sanitize, config.changes,
-                                   config.metrics, exec, checkpoint,
-                                   io::kCkptAtlasFile, fingerprint,
-                                   &ingest_sink, study);
-  if (!ran.ok()) return ran.with_context("atlas study");
-  return study;
-}
-
-Expected<CdnStudy> run_cdn_study_from_files(
-    const std::vector<std::string>& paths, const CdnFileStudyConfig& config,
-    io::IngestStats* ingest, const CheckpointConfig& checkpoint) {
-  obs::MetricsSink ingest_sink;
-  io::ReaderOptions ropts = config.reader;
-  if (config.metrics && !ropts.metrics) ropts.metrics = &ingest_sink;
-
-  std::vector<cdn::AssociationLog> dataset;
-  const std::uint64_t load_start = obs::now_ns();
-  Status loaded = load_dataset_files(
-      paths, ropts, ingest,
-      [](const std::string& path, const io::ReaderOptions& r,
-         io::IngestStats* st) { return io::load_assoc_file(path, r, st); },
-      [](std::vector<cdn::AssociationLog>& into,
-         std::vector<cdn::AssociationLog>&& more) {
-        io::merge_assoc_datasets(into, std::move(more));
-      },
-      dataset);
-  if (!loaded.ok()) return loaded.with_context("cdn study");
-  const std::uint64_t load_ns = obs::now_ns() - load_start;
-  if (ingest) ingest->load_wall_ns += load_ns;
-  if (config.metrics) ingest_sink.phase("cdn.ingest").record(load_ns);
-
-  CdnStudy study;
-  study.asn_names = config.asn_names;
-
-  const std::uint64_t fingerprint = cdn_file_fingerprint(paths, config);
-
-  ShardExecutor exec(config.threads);
-  Status ran = cdn_analysis_pass(dataset, config.assoc, config.mobile_asns,
-                                 config.registries, config.metrics, exec,
-                                 checkpoint, io::kCkptCdnFile, fingerprint,
-                                 &ingest_sink, study);
-  if (!ran.ok()) return ran.with_context("cdn study");
-  return study;
 }
 
 // --------------------------------------------------- streaming entrypoints
@@ -1244,45 +932,6 @@ bool load_assoc_dataset(io::ckpt::Reader& r,
   return r.ok();
 }
 
-// --- stream fingerprints --------------------------------------------------
-//
-// Like the file fingerprints but without the input paths: a stream's
-// batch list grows over its lifetime and is validated separately through
-// the checkpoint's consumed-batch high-water mark. Threads stay excluded
-// (results are thread-invariant).
-
-std::uint64_t atlas_stream_fingerprint(
-    const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config) {
-  io::ckpt::Writer w;
-  w.str("atlas.stream");
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
-  fingerprint_atlas_analysis(w, config.sanitize, config.changes, isps,
-                             config.metrics != nullptr);
-  return io::ckpt::fnv1a(w.buffer());
-}
-
-std::uint64_t cdn_stream_fingerprint(const CdnFileStudyConfig& config) {
-  io::ckpt::Writer w;
-  w.str("cdn.stream");
-  fingerprint_assoc(w, config.assoc);
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
-  std::vector<bgp::Asn> mobile(config.mobile_asns.begin(),
-                               config.mobile_asns.end());
-  std::sort(mobile.begin(), mobile.end());
-  w.u64(mobile.size());
-  for (bgp::Asn asn : mobile) w.u32(asn);
-  w.u64(config.registries.size());
-  for (const auto& [asn, registry] : config.registries) {
-    w.u32(asn);
-    w.u8(std::uint8_t(registry));
-  }
-  w.u8(config.metrics != nullptr ? 1 : 0);
-  return io::ckpt::fnv1a(w.buffer());
-}
-
 // --- watch-directory scanning ---------------------------------------------
 
 /// Unconsumed batch files in `watch_dir`, sorted by natural name order —
@@ -1328,27 +977,33 @@ double batch_lag_seconds(const std::filesystem::path& path) {
   return delta.count() > 0 ? delta.count() : 0.0;
 }
 
-// --- stream policies ------------------------------------------------------
+// --- dataset study policies -------------------------------------------------
 //
-// The per-study glue the generic follow_stream() loop needs: how to load a
+// The per-study glue the one-shot _from_files entrypoints and the generic
+// follow_stream() loop share: how to fingerprint the config, how to load a
 // batch, how to (de)serialize the accumulated dataset, and how to run one
-// analysis pass.
+// analysis pass over it.
 
-struct AtlasStreamPolicy {
+struct AtlasPolicy {
   const std::vector<simnet::IspProfile>& isps;
   const AtlasFileStudyConfig& config;
   ShardExecutor& exec;
 
   using Dataset = std::vector<atlas::ProbeSeries>;
   using Study = AtlasStudy;
-  static constexpr std::uint32_t kind = io::kCkptAtlasStream;
-  static constexpr const char* label = "atlas stream";
+  static constexpr std::string_view name = AtlasShard::kName;
+  static constexpr std::uint32_t file_kind = io::kCkptAtlasFile;
+  static constexpr std::uint32_t stream_kind = io::kCkptAtlasStream;
 
-  std::uint64_t fingerprint() const {
-    return atlas_stream_fingerprint(isps, config);
+  /// `paths` is null for a stream; see dataset_fingerprint_head.
+  std::uint64_t fingerprint(const std::vector<std::string>* paths) const {
+    io::ckpt::Writer w = dataset_fingerprint_head(name, paths);
+    w.f64(config.reader.max_reject_fraction);
+    w.u64(config.reader.max_consecutive_rejects);
+    fingerprint_atlas_analysis(w, config.sanitize, config.changes, isps,
+                               config.metrics != nullptr);
+    return io::ckpt::fnv1a(w.buffer());
   }
-  obs::MetricsRegistry* metrics() const { return config.metrics; }
-  const io::ReaderOptions& reader() const { return config.reader; }
 
   Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
                     io::IngestStats* ingest, Dataset& dataset,
@@ -1376,26 +1031,46 @@ struct AtlasStreamPolicy {
   }
 
   Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
-                  const CheckpointConfig& cc, std::uint64_t fp,
-                  obs::MetricsSink* ingest_sink, Study& study) const {
-    return atlas_analysis_pass(dataset, config.sanitize, config.changes,
-                               registry, exec, cc, kind, fp, ingest_sink,
-                               study);
+                  const CheckpointConfig& cc, std::uint32_t kind,
+                  std::uint64_t fp, obs::MetricsSink* ingest_sink,
+                  Study& study) const {
+    return analysis_pass<AtlasShard>(
+        InMemory<atlas::ProbeSeries>{dataset, "atlas.probes_loaded",
+                                     ingest_sink},
+        [&] { return AtlasShard(study.rib, config.sanitize, config.changes); },
+        registry, exec, cc, kind, fp, study);
   }
 };
 
-struct CdnStreamPolicy {
+struct CdnPolicy {
   const CdnFileStudyConfig& config;
   ShardExecutor& exec;
 
   using Dataset = std::vector<cdn::AssociationLog>;
   using Study = CdnStudy;
-  static constexpr std::uint32_t kind = io::kCkptCdnStream;
-  static constexpr const char* label = "cdn stream";
+  static constexpr std::string_view name = CdnShard::kName;
+  static constexpr std::uint32_t file_kind = io::kCkptCdnFile;
+  static constexpr std::uint32_t stream_kind = io::kCkptCdnStream;
 
-  std::uint64_t fingerprint() const { return cdn_stream_fingerprint(config); }
-  obs::MetricsRegistry* metrics() const { return config.metrics; }
-  const io::ReaderOptions& reader() const { return config.reader; }
+  std::uint64_t fingerprint(const std::vector<std::string>* paths) const {
+    io::ckpt::Writer w = dataset_fingerprint_head(name, paths);
+    fingerprint_assoc(w, config.assoc);
+    w.f64(config.reader.max_reject_fraction);
+    w.u64(config.reader.max_consecutive_rejects);
+    // Unordered-set iteration order is not canonical; sort before hashing.
+    std::vector<bgp::Asn> mobile(config.mobile_asns.begin(),
+                                 config.mobile_asns.end());
+    std::sort(mobile.begin(), mobile.end());
+    w.u64(mobile.size());
+    for (bgp::Asn asn : mobile) w.u32(asn);
+    w.u64(config.registries.size());
+    for (const auto& [asn, registry] : config.registries) {
+      w.u32(asn);
+      w.u8(std::uint8_t(registry));
+    }
+    w.u8(config.metrics != nullptr ? 1 : 0);
+    return io::ckpt::fnv1a(w.buffer());
+  }
 
   Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
                     io::IngestStats* ingest, Dataset& dataset,
@@ -1419,13 +1094,65 @@ struct CdnStreamPolicy {
   void init_study(Study& study) const { study.asn_names = config.asn_names; }
 
   Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
-                  const CheckpointConfig& cc, std::uint64_t fp,
-                  obs::MetricsSink* ingest_sink, Study& study) const {
-    return cdn_analysis_pass(dataset, config.assoc, config.mobile_asns,
-                             config.registries, registry, exec, cc, kind, fp,
-                             ingest_sink, study);
+                  const CheckpointConfig& cc, std::uint32_t kind,
+                  std::uint64_t fp, obs::MetricsSink* ingest_sink,
+                  Study& study) const {
+    // The CSV schema carries no access-type or registry attribution; graft
+    // the caller's ground truth onto the loaded logs. Idempotent — the
+    // streaming driver re-grafts on every re-finalization pass.
+    for (auto& log : dataset) {
+      log.mobile = config.mobile_asns.count(log.asn) > 0;
+      auto reg = config.registries.find(log.asn);
+      log.registry =
+          reg == config.registries.end() ? bgp::Registry::kRipe : reg->second;
+    }
+    return analysis_pass<CdnShard>(
+        InMemory<cdn::AssociationLog>{dataset, "cdn.logs_loaded", ingest_sink},
+        [&] { return CdnShard(config.assoc, config.mobile_asns); }, registry,
+        exec, cc, kind, fp, study);
   }
 };
+
+// --- one-shot file studies ---------------------------------------------------
+
+/// Load `paths` one after another into one dataset (later files merge into
+/// earlier probes/logs; load_batch dispatches CSV vs columnar by extension,
+/// so `.col` batches ride alongside `.csv`), then run one analysis pass.
+template <typename Policy>
+Expected<typename Policy::Study> study_from_files(
+    const Policy& policy, const std::vector<std::string>& paths,
+    io::IngestStats* ingest, const CheckpointConfig& checkpoint) {
+  const std::string label = std::string(Policy::name) + " study";
+  obs::MetricsRegistry* metrics = policy.config.metrics;
+
+  // Ingest metrics land in a local sink merged into the registry at the
+  // end, like every per-shard sink (no locks while loading). The sink is
+  // never checkpointed: a resumed run re-ingests the same files and
+  // reproduces identical ingest counters.
+  obs::MetricsSink ingest_sink;
+  io::ReaderOptions ropts = policy.config.reader;
+  if (metrics && !ropts.metrics) ropts.metrics = &ingest_sink;
+
+  typename Policy::Dataset dataset;
+  const std::uint64_t load_start = obs::now_ns();
+  for (const auto& path : paths) {
+    std::uint64_t records = 0;
+    Status loaded = policy.load_batch(path, ropts, ingest, dataset, records);
+    if (!loaded.ok()) return loaded.with_context(path).with_context(label);
+  }
+  const std::uint64_t load_ns = obs::now_ns() - load_start;
+  if (ingest) ingest->load_wall_ns += load_ns;
+  if (metrics)
+    ingest_sink.phase(std::string(Policy::name) + ".ingest").record(load_ns);
+
+  typename Policy::Study study;
+  policy.init_study(study);
+  Status ran = policy.run_pass(dataset, metrics, checkpoint, Policy::file_kind,
+                               policy.fingerprint(&paths), &ingest_sink,
+                               study);
+  if (!ran.ok()) return ran.with_context(label);
+  return study;
+}
 
 // --- the stream loop ------------------------------------------------------
 
@@ -1438,15 +1165,16 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                                                StreamStats* stats_out) {
   namespace fs = std::filesystem;
   using Study = typename Policy::Study;
+  constexpr std::uint32_t kind = Policy::stream_kind;
+  const std::string label = std::string(Policy::name) + " stream";
 
   std::error_code ec;
   if (!fs::is_directory(watch_dir, ec))
     return Status(StatusCode::kNotFound,
-                  std::string(Policy::label) +
-                      ": watch directory does not exist: " + watch_dir);
+                  label + ": watch directory does not exist: " + watch_dir);
 
-  const std::uint64_t fingerprint = policy.fingerprint();
-  obs::MetricsRegistry* metrics = policy.metrics();
+  const std::uint64_t fingerprint = policy.fingerprint(nullptr);
+  obs::MetricsRegistry* metrics = policy.config.metrics;
 
   // All stream-side accounting (`ingest.*`, `stream.*`, `checkpoint.*`)
   // accumulates in one sink persisted inside every checkpoint: unlike the
@@ -1459,12 +1187,12 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
   if (stream.resume) {
     const io::StudyCheckpoint& ck = *stream.resume;
-    if (ck.kind != Policy::kind)
+    if (ck.kind != kind)
       return Status(StatusCode::kFailedPrecondition,
                     std::string("checkpoint was written by the ") +
                         io::checkpoint_kind_name(ck.kind) +
                         " study and cannot resume the " +
-                        io::checkpoint_kind_name(Policy::kind) + " study");
+                        io::checkpoint_kind_name(kind) + " study");
     if (ck.config_fingerprint != fingerprint)
       return Status(StatusCode::kFailedPrecondition,
                     "checkpoint config fingerprint does not match this run; "
@@ -1496,7 +1224,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   std::uint64_t batches_since_refinalize = 0;
   auto last_refinalize = std::chrono::steady_clock::now();
 
-  io::ReaderOptions base_ropts = policy.reader();
+  io::ReaderOptions base_ropts = policy.config.reader;
   if (metrics && !base_ropts.metrics) base_ropts.metrics = &sink;
 
   auto publish_stats = [&] {
@@ -1527,9 +1255,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     if (!stream.checkpoint_path.empty() &&
         sink.counter("checkpoint.writes").value > 0)
       return Status(StatusCode::kCancelled,
-                    std::string(Policy::label) +
-                        ": giving up after repeated IO failures; the last "
-                        "durable checkpoint at " +
+                    label + ": giving up after repeated IO failures; the "
+                            "last durable checkpoint at " +
                         stream.checkpoint_path + " is intact (" +
                         failed.message() + ")");
     return failed;
@@ -1542,7 +1269,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     if (stream.checkpoint_path.empty()) return Status::Ok();
     obs::PhaseTimer timer(&sink.phase("checkpoint.write"));
     io::StudyCheckpoint ck;
-    ck.kind = Policy::kind;
+    ck.kind = kind;
     ck.config_fingerprint = fingerprint;
     ck.item_count = consumed.size();
     io::ckpt::Writer w;
@@ -1594,8 +1321,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                               // mark checkpoint is already durable, so no
                               // mid-pass snapshot is needed
     Status ran = policy.run_pass(dataset, final_pass ? metrics : nullptr, cc,
-                                 fingerprint, final_pass ? &sink : nullptr,
-                                 study);
+                                 kind, fingerprint,
+                                 final_pass ? &sink : nullptr, study);
     if (!ran.ok()) return ran;
     return study;
   };
@@ -1630,8 +1357,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   for (;;) {
     if (stream.token && stream.token->requested()) {
       sink.counter("checkpoint.interrupted").add(1);
-      std::string note = std::string(Policy::label) +
-                         " interrupted by shutdown request after " +
+      std::string note = label + " interrupted by shutdown request after " +
                          std::to_string(stats.batches) + " consumed batches";
       if (!stream.checkpoint_path.empty()) {
         Status wrote = write_stream_checkpoint();
@@ -1694,7 +1420,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       publish_stats();
       if (!final_study.ok()) {
         Status st = final_study.status();
-        return st.with_context(Policy::label);
+        return st.with_context(label);
       }
       return final_study;
     }
@@ -1706,7 +1432,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         if (!snap.ok()) {
           Status st = snap.status();
           publish_stats();
-          return st.with_context(Policy::label);
+          return st.with_context(label);
         }
         on_snapshot(snap.value(), stats);
         batches_since_refinalize = 0;
@@ -1806,7 +1532,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         if (!snap.ok()) {
           Status st = snap.status();
           publish_stats();
-          return st.with_context(Policy::label);
+          return st.with_context(label);
         }
         on_snapshot(snap.value(), stats);
         batches_since_refinalize = 0;
@@ -1819,6 +1545,23 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
 }  // namespace
 
+Expected<AtlasStudy> run_atlas_study_from_files(
+    const std::vector<std::string>& paths,
+    const std::vector<simnet::IspProfile>& isps,
+    const AtlasFileStudyConfig& config, io::IngestStats* ingest,
+    const CheckpointConfig& checkpoint) {
+  ShardExecutor exec(config.threads);
+  return study_from_files(AtlasPolicy{isps, config, exec}, paths, ingest,
+                          checkpoint);
+}
+
+Expected<CdnStudy> run_cdn_study_from_files(
+    const std::vector<std::string>& paths, const CdnFileStudyConfig& config,
+    io::IngestStats* ingest, const CheckpointConfig& checkpoint) {
+  ShardExecutor exec(config.threads);
+  return study_from_files(CdnPolicy{config, exec}, paths, ingest, checkpoint);
+}
+
 StreamDriver::StreamDriver(unsigned threads) : exec_(threads) {}
 
 unsigned StreamDriver::thread_count() const { return exec_.thread_count(); }
@@ -1827,7 +1570,7 @@ Expected<AtlasStudy> StreamDriver::follow_atlas(
     const std::string& watch_dir, const std::vector<simnet::IspProfile>& isps,
     const AtlasFileStudyConfig& config, const StreamConfig& stream,
     AtlasSnapshotFn on_snapshot, io::IngestStats* ingest, StreamStats* stats) {
-  AtlasStreamPolicy policy{isps, config, exec_};
+  AtlasPolicy policy{isps, config, exec_};
   return follow_stream(policy, watch_dir, stream, on_snapshot, ingest, stats);
 }
 
@@ -1837,7 +1580,7 @@ Expected<CdnStudy> StreamDriver::follow_cdn(const std::string& watch_dir,
                                             CdnSnapshotFn on_snapshot,
                                             io::IngestStats* ingest,
                                             StreamStats* stats) {
-  CdnStreamPolicy policy{config, exec_};
+  CdnPolicy policy{config, exec_};
   return follow_stream(policy, watch_dir, stream, on_snapshot, ingest, stats);
 }
 

@@ -238,8 +238,8 @@ Expected<CdnStudy> run_cdn_study_from_files(
 // analyzer's snapshot() produces a finalized AtlasStudy/CdnStudy without
 // consuming the accumulators, so the next batch keeps adding.
 //
-// Determinism contract: batches are consumed in lexicographic filename
-// order, and ingesting batches B1..Bk produces results byte-identical to a
+// Determinism contract: batches are consumed in natural_name_less order
+// of their file names (below), and ingesting batches B1..Bk produces results byte-identical to a
 // one-shot _from_files run over [B1, ..., Bk] — at any thread count, and
 // including across a mid-stream interrupt + resume. The stream checkpoint
 // (kCkptAtlasStream / kCkptCdnStream) carries a monotone batch high-water

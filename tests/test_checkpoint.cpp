@@ -1229,5 +1229,116 @@ TEST(ShardedStudy, InterruptedShardResumesThenMerges) {
   io::remove_checkpoint_files(p1);
 }
 
+
+// ----------------------------------------- checkpoint compatibility pins
+
+/// Config fingerprint of the checkpoint at `path` (0 when unreadable).
+/// The checkpoint files are removed afterwards.
+std::uint64_t pinned_fingerprint(const std::string& path) {
+  auto ck = io::read_checkpoint(path);
+  EXPECT_TRUE(ck.ok()) << path << ": " << ck.status().to_string();
+  io::remove_checkpoint_files(path);
+  return ck.ok() ? ck->config_fingerprint : 0;
+}
+
+/// A shard slice past the last item: the run analyzes nothing but still
+/// writes its completed checkpoint, which carries the fingerprint.
+core::CheckpointConfig past_the_end_slice(const std::string& path) {
+  core::CheckpointConfig cc;
+  cc.path = path;
+  cc.shard_count = 1u << 30;
+  cc.shard_index = cc.shard_count - 1;
+  return cc;
+}
+
+/// Switches the working directory for one scope.
+struct ScopedCwd {
+  explicit ScopedCwd(const std::filesystem::path& dir)
+      : saved(std::filesystem::current_path()) {
+    std::filesystem::current_path(dir);
+  }
+  ~ScopedCwd() { std::filesystem::current_path(saved); }
+  std::filesystem::path saved;
+};
+
+// Resume refuses a checkpoint whose config fingerprint differs from the
+// run's, so these golden values pin the fingerprint serialization of all
+// six study kinds: a change to any of them orphans every checkpoint
+// already on disk. Configs are defaults, except that the CDN file and
+// stream configs list mobile ASNs and registries (the fields whose
+// serialization sorts). File studies name their one input by a relative
+// path, because input paths enter file fingerprints.
+TEST(CheckpointCompat, DefaultConfigFingerprintsArePinned) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ckpt_compat";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "watch_echo");
+  fs::create_directories(dir / "watch_assoc");
+  ScopedCwd cwd(dir);
+
+  const auto isps = simnet::paper_isps();
+  const auto population = cdn::default_cdn_population();
+
+  atlas::AtlasConfig acfg;
+  acfg.probe_scale = 0.02;
+  acfg.window_hours = 3000;
+  atlas::AtlasSimulator asim(isps, acfg);
+  std::vector<atlas::ProbeSeries> echo = {asim.series_for(0),
+                                          asim.series_for(1)};
+  cdn::CdnConfig ccfg;
+  ccfg.subscriber_scale = 0.02;
+  cdn::CdnSimulator csim(cdn::default_cdn_population(0.02), ccfg);
+  std::vector<cdn::AssociationLog> assoc = {csim.generate(0)};
+  for (const char* path : {"echo.csv", "watch_echo/batch-000.csv"}) {
+    std::ofstream out(path, std::ios::binary);
+    io::write_echo_dataset(out, echo);
+  }
+  for (const char* path : {"assoc.csv", "watch_assoc/batch-000.csv"}) {
+    std::ofstream out(path, std::ios::binary);
+    io::write_assoc_dataset(out, assoc);
+  }
+
+  core::CdnFileStudyConfig cdn_files;
+  cdn_files.mobile_asns = {64512, 3320, 26599};
+  cdn_files.registries = {{3320, bgp::Registry::kRipe},
+                          {7922, bgp::Registry::kArin},
+                          {26599, bgp::Registry::kLacnic}};
+  core::StreamConfig stream;
+  stream.max_batches = 1;
+  stream.poll_ms = 1;
+
+  auto atlas_gen = core::run_atlas_study_supervised(
+      isps, core::AtlasStudyConfig{}, past_the_end_slice("atlas_gen.ckpt"));
+  ASSERT_TRUE(atlas_gen.ok()) << atlas_gen.status().to_string();
+  EXPECT_EQ(pinned_fingerprint("atlas_gen.ckpt"), 0x852f4cf85f6e99adull);
+
+  auto cdn_gen = core::run_cdn_study_supervised(
+      population, core::CdnStudyConfig{}, past_the_end_slice("cdn_gen.ckpt"));
+  ASSERT_TRUE(cdn_gen.ok()) << cdn_gen.status().to_string();
+  EXPECT_EQ(pinned_fingerprint("cdn_gen.ckpt"), 0x6d15bbd4043112f4ull);
+
+  auto atlas_file = core::run_atlas_study_from_files(
+      {"echo.csv"}, isps, core::AtlasFileStudyConfig{}, nullptr,
+      past_the_end_slice("atlas_file.ckpt"));
+  ASSERT_TRUE(atlas_file.ok()) << atlas_file.status().to_string();
+  EXPECT_EQ(pinned_fingerprint("atlas_file.ckpt"), 0xbbdcc70926c3b8b5ull);
+
+  auto cdn_file = core::run_cdn_study_from_files(
+      {"assoc.csv"}, cdn_files, nullptr, past_the_end_slice("cdn_file.ckpt"));
+  ASSERT_TRUE(cdn_file.ok()) << cdn_file.status().to_string();
+  EXPECT_EQ(pinned_fingerprint("cdn_file.ckpt"), 0xb25c8edfcd0278daull);
+
+  stream.checkpoint_path = "atlas_stream.ckpt";
+  auto atlas_stream = core::run_atlas_stream(
+      "watch_echo", isps, core::AtlasFileStudyConfig{}, stream);
+  ASSERT_TRUE(atlas_stream.ok()) << atlas_stream.status().to_string();
+  EXPECT_EQ(pinned_fingerprint("atlas_stream.ckpt"), 0xf1109b6a94cbde71ull);
+
+  stream.checkpoint_path = "cdn_stream.ckpt";
+  auto cdn_stream = core::run_cdn_stream("watch_assoc", cdn_files, stream);
+  ASSERT_TRUE(cdn_stream.ok()) << cdn_stream.status().to_string();
+  EXPECT_EQ(pinned_fingerprint("cdn_stream.ckpt"), 0x56a47c254e869593ull);
+}
+
 }  // namespace
 }  // namespace dynamips

@@ -13,11 +13,15 @@
 
 #include <fstream>
 #include <iterator>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "io/results_io.h"
 #include "obs/metrics.h"
 #include "obs/metrics_json.h"
 #include "simnet/isp.h"
@@ -260,27 +264,217 @@ core::AtlasStudyConfig small_atlas_config(obs::MetricsRegistry* registry,
   return cfg;
 }
 
+core::CdnStudyConfig small_cdn_config(obs::MetricsRegistry* registry,
+                                      unsigned threads) {
+  core::CdnStudyConfig cfg;
+  cfg.cdn.subscriber_scale = 0.02;
+  cfg.cdn.days = 40;
+  cfg.cdn.seed = 13;
+  cfg.threads = threads;
+  cfg.metrics = registry;
+  return cfg;
+}
+
+/// Every Atlas result CSV, concatenated: byte equality here is the
+/// "results are identical" criterion.
+std::string atlas_csvs(const core::AtlasStudy& study) {
+  std::ostringstream os;
+  io::write_duration_curves_csv(os, study);
+  io::write_cpl_csv(os, study);
+  io::write_bgp_moves_csv(os, study);
+  io::write_inference_csv(os, study);
+  return os.str();
+}
+
+std::string cdn_csvs(const core::CdnStudy& study) {
+  std::ostringstream os;
+  io::write_assoc_durations_csv(os, study);
+  io::write_degrees_csv(os, study);
+  io::write_zero_boundaries_csv(os, study);
+  return os.str();
+}
+
+/// The small generator datasets of small_atlas_config / small_cdn_config,
+/// exported as clean CSVs, so file studies can be run on the same items.
+struct Exports {
+  std::vector<simnet::IspProfile> isps;
+  std::vector<cdn::PopulationEntry> population;
+  std::unordered_set<bgp::Asn> mobile_asns;
+  std::string echo_csv;
+  std::string assoc_csv;
+};
+
+const Exports& exports() {
+  static const Exports* exported = [] {
+    auto* e = new Exports;
+    e->isps = simnet::paper_isps();
+    e->isps.resize(2);
+    e->population = cdn::default_cdn_population(0.02);
+    const std::string dir = ::testing::TempDir();
+
+    atlas::AtlasSimulator asim(e->isps, small_atlas_config(nullptr, 1).atlas);
+    std::vector<atlas::ProbeSeries> echo;
+    for (std::size_t i = 0; i < asim.probe_count(); ++i)
+      echo.push_back(asim.series_for(i));
+    e->echo_csv = dir + "/obs_echo.csv";
+    {
+      std::ofstream out(e->echo_csv, std::ios::binary);
+      io::write_echo_dataset(out, echo);
+    }
+
+    cdn::CdnSimulator csim(e->population, small_cdn_config(nullptr, 1).cdn);
+    std::vector<cdn::AssociationLog> logs;
+    for (std::size_t i = 0; i < csim.entry_count(); ++i)
+      logs.push_back(csim.generate(i));
+    e->mobile_asns = csim.mobile_asns();
+    e->assoc_csv = dir + "/obs_assoc.csv";
+    {
+      std::ofstream out(e->assoc_csv, std::ios::binary);
+      io::write_assoc_dataset(out, logs);
+    }
+    return e;
+  }();
+  return *exported;
+}
+
+core::AtlasFileStudyConfig atlas_file_config(obs::MetricsRegistry* registry,
+                                             unsigned threads) {
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = threads;
+  cfg.metrics = registry;
+  return cfg;
+}
+
+/// File-study config carrying the generator's ground truth (access type
+/// and registry per ASN), which the CSV schema does not.
+core::CdnFileStudyConfig cdn_file_config(obs::MetricsRegistry* registry,
+                                         unsigned threads) {
+  const Exports& e = exports();
+  core::CdnFileStudyConfig cfg;
+  cfg.threads = threads;
+  cfg.metrics = registry;
+  cfg.mobile_asns = e.mobile_asns;
+  for (const auto& entry : e.population) {
+    cfg.registries[entry.isp.asn] = entry.isp.registry;
+    cfg.asn_names[entry.isp.asn] = entry.isp.name;
+  }
+  return cfg;
+}
+
+/// Result CSVs of all four studies (Atlas/CDN, generator/file) run with
+/// `registry` as their metrics sink.
+std::vector<std::string> all_study_csvs(obs::MetricsRegistry* registry) {
+  const Exports& e = exports();
+  std::vector<std::string> out;
+  out.push_back(atlas_csvs(
+      core::run_atlas_study(e.isps, small_atlas_config(registry, 2))));
+  out.push_back(cdn_csvs(
+      core::run_cdn_study(e.population, small_cdn_config(registry, 2))));
+  auto atlas_file = core::run_atlas_study_from_files(
+      {e.echo_csv}, e.isps, atlas_file_config(registry, 2));
+  EXPECT_TRUE(atlas_file.ok()) << atlas_file.status().to_string();
+  out.push_back(atlas_file.ok() ? atlas_csvs(*atlas_file) : "");
+  auto cdn_file = core::run_cdn_study_from_files(
+      {e.assoc_csv}, cdn_file_config(registry, 2));
+  EXPECT_TRUE(cdn_file.ok()) << cdn_file.status().to_string();
+  out.push_back(cdn_file.ok() ? cdn_csvs(*cdn_file) : "");
+  return out;
+}
+
 TEST(ObsPipeline, DisabledMetricsRecordNothingAndChangeNothing) {
-  auto isps = simnet::paper_isps();
-  isps.resize(2);
+  // Metrics off: no study records into the process-wide registry, the
+  // only registry a study could reach without being given one.
+  obs::MetricsRegistry& global = obs::MetricsRegistry::global();
+  const std::string global_before =
+      obs::metrics_to_json(global.snapshot(), test_meta());
+  const std::vector<std::string> plain = all_study_csvs(nullptr);
+  EXPECT_EQ(obs::metrics_to_json(global.snapshot(), test_meta()),
+            global_before);
 
+  // Metrics on vs off: every result CSV is byte-identical.
   obs::MetricsRegistry registry;
-  auto metered =
-      core::run_atlas_study(isps, small_atlas_config(&registry, 2));
+  const std::vector<std::string> metered = all_study_csvs(&registry);
   EXPECT_FALSE(registry.empty());
+  ASSERT_EQ(plain.size(), metered.size());
+  const char* studies[] = {"atlas gen", "cdn gen", "atlas file", "cdn file"};
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_FALSE(plain[i].empty()) << studies[i];
+    EXPECT_EQ(plain[i], metered[i]) << studies[i];
+  }
+}
 
-  obs::MetricsRegistry untouched;
-  auto plain = core::run_atlas_study(isps, small_atlas_config(nullptr, 2));
-  EXPECT_TRUE(untouched.empty());
+/// Metric names only one kind of item source records: its item counter,
+/// the generator's population counters and the file path's ingest
+/// accounting.
+bool source_specific(const std::string& name) {
+  for (const char* prefix : {"atlas.probes_generated", "atlas.probes_loaded",
+                             "cdn.logs_generated", "cdn.logs_loaded",
+                             "atlas.gen.", "cdn.gen.", "ingest."})
+    if (name.rfind(prefix, 0) == 0) return true;
+  return false;
+}
 
-  // Metrics on vs off: study results are identical.
-  EXPECT_EQ(plain.sanitize.probes_seen, metered.sanitize.probes_seen);
-  EXPECT_EQ(plain.sanitize.virtual_probes, metered.sanitize.virtual_probes);
-  ASSERT_EQ(plain.durations.size(), metered.durations.size());
-  for (const auto& [asn, stats] : metered.durations) {
-    EXPECT_EQ(plain.durations.at(asn).v4_changes, stats.v4_changes);
-    EXPECT_EQ(plain.durations.at(asn).v6_changes, stats.v6_changes);
-    EXPECT_EQ(plain.durations.at(asn).probes, stats.probes);
+std::set<std::string> phase_names(const obs::MetricsSink& sink) {
+  std::set<std::string> names;
+  for (const auto& [name, phase] : sink.phases()) names.insert(name);
+  return names;
+}
+
+/// The generator and file studies run one shared kernel, so over the same
+/// items they must record the same metrics, apart from what the source
+/// itself names: every shared counter and histogram is equal, and the
+/// phase sets differ only in how items arrive (`<study>.generate` per
+/// generated item vs `<study>.ingest` once per load).
+void expect_same_kernel_metrics(const obs::MetricsSink& gen,
+                                const obs::MetricsSink& file,
+                                const std::string& study) {
+  std::set<std::string> names;
+  for (const auto* sink : {&gen, &file})
+    for (const auto& [name, counter] : sink->counters())
+      if (!source_specific(name)) names.insert(name);
+  for (const auto& name : names) {
+    ASSERT_TRUE(gen.counters().count(name)) << name;
+    ASSERT_TRUE(file.counters().count(name)) << name;
+    EXPECT_EQ(gen.counters().at(name).value, file.counters().at(name).value)
+        << name;
+  }
+  EXPECT_GT(names.size(), 0u);
+  ASSERT_EQ(gen.histograms().size(), file.histograms().size());
+  for (const auto& [name, hist] : gen.histograms()) {
+    ASSERT_TRUE(file.histograms().count(name)) << name;
+    EXPECT_TRUE(hist == file.histograms().at(name)) << name;
+  }
+
+  std::set<std::string> gen_phases = phase_names(gen);
+  std::set<std::string> file_phases = phase_names(file);
+  EXPECT_EQ(gen_phases.erase(study + ".generate"), 1u);
+  EXPECT_EQ(file_phases.erase(study + ".ingest"), 1u);
+  EXPECT_EQ(gen_phases, file_phases);
+}
+
+TEST(ObsPipeline, GeneratorAndFileSourcesShareTheKernelMetrics) {
+  const Exports& e = exports();
+  {
+    obs::MetricsRegistry gen, file;
+    core::run_atlas_study(e.isps, small_atlas_config(&gen, 2));
+    auto study = core::run_atlas_study_from_files(
+        {e.echo_csv}, e.isps, atlas_file_config(&file, 2));
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    const auto g = gen.snapshot(), f = file.snapshot();
+    expect_same_kernel_metrics(g, f, "atlas");
+    EXPECT_EQ(g.counters().at("atlas.probes_generated").value,
+              f.counters().at("atlas.probes_loaded").value);
+  }
+  {
+    obs::MetricsRegistry gen, file;
+    core::run_cdn_study(e.population, small_cdn_config(&gen, 2));
+    auto study = core::run_cdn_study_from_files({e.assoc_csv},
+                                                cdn_file_config(&file, 2));
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    const auto g = gen.snapshot(), f = file.snapshot();
+    expect_same_kernel_metrics(g, f, "cdn");
+    EXPECT_EQ(g.counters().at("cdn.logs_generated").value,
+              f.counters().at("cdn.logs_loaded").value);
   }
 }
 

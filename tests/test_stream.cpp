@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -1209,6 +1210,59 @@ TEST(StreamGovernor, BoundedBacklogStillConsumesEveryBatch) {
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(stats.batches, 4u);
   EXPECT_EQ(atlas_signature(*study), want);
+}
+
+
+// ------------------------------------------------ the stream_feed.py feeder
+
+bool python3_available() {
+  return std::system("python3 --version > /dev/null 2>&1") == 0;
+}
+
+// tools/stream_feed.py end to end: the stream driver consuming the
+// feeder's batches must produce the study a one-shot file run produces
+// over the same batch files in natural name order.
+TEST(StreamFeed, FedStreamMatchesOneShotOverItsBatches) {
+  if (!python3_available()) GTEST_SKIP() << "python3 not on PATH";
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path dir = temp_dir("stream_feed_py");
+  const fs::path echo = dir / "echo.csv";
+  {
+    std::ofstream out(echo, std::ios::binary);
+    io::write_echo_dataset(out, fx.dataset);
+  }
+  const fs::path watch = dir / "watch";
+  const std::string cmd =
+      "python3 '" + (fs::path(DYNAMIPS_TOOLS_DIR) / "stream_feed.py").string() +
+      "' '" + echo.string() + "' '" + watch.string() +
+      "' --kind echo --batches 12 > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  ASSERT_TRUE(fs::exists(watch / "stream.stop"));
+
+  std::vector<std::string> batches;
+  for (const auto& entry : fs::directory_iterator(watch))
+    if (entry.path().extension() == ".csv")
+      batches.push_back(entry.path().string());
+  std::sort(batches.begin(), batches.end(),
+            [](const std::string& a, const std::string& b) {
+              return core::natural_name_less(fs::path(a).filename().string(),
+                                             fs::path(b).filename().string());
+            });
+  ASSERT_GE(batches.size(), 2u);
+
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  auto one_shot = core::run_atlas_study_from_files(batches, fx.isps, cfg);
+  ASSERT_TRUE(one_shot.ok()) << one_shot.status().to_string();
+
+  core::StreamConfig stream;
+  stream.poll_ms = 5;
+  core::StreamStats stats;
+  auto streamed = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
+                                         {}, nullptr, &stats);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().to_string();
+  EXPECT_EQ(stats.batches, batches.size());
+  EXPECT_EQ(atlas_signature(*streamed), atlas_signature(*one_shot));
 }
 
 }  // namespace
