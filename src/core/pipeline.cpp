@@ -812,126 +812,6 @@ bool natural_name_less(std::string_view a, std::string_view b) {
 
 namespace {
 
-// --- accumulated-dataset blob codecs -------------------------------------
-//
-// Stream checkpoints carry the merged in-memory dataset, not the source
-// CSVs: re-reading the batch files through the CSV readers would re-apply
-// per-file deduplication to records that legitimately repeat across
-// batches, changing results. Tags are serialized as strings because
-// core::tag_pool() ids are assigned in first-intern order and are not
-// stable across processes.
-
-void save_echo_dataset(io::ckpt::Writer& w,
-                       const std::vector<atlas::ProbeSeries>& dataset) {
-  w.u64(dataset.size());
-  for (const atlas::ProbeSeries& series : dataset) {
-    w.u32(series.meta.probe_id);
-    w.u64(series.meta.tags.size());
-    for (TagId tag : series.meta.tags) w.str(tag_pool().name_of(tag));
-    w.u64(series.records.size());
-    for (const atlas::EchoRecord& rec : series.records) {
-      w.u64(rec.hour);
-      w.u8(std::uint8_t(rec.family));
-      w.u32(rec.x_client_ip4.value());
-      w.u32(rec.src_addr4.value());
-      w.u64(rec.x_client_ip6.bits().hi);
-      w.u64(rec.x_client_ip6.bits().lo);
-      w.u64(rec.src_addr6.bits().hi);
-      w.u64(rec.src_addr6.bits().lo);
-    }
-  }
-}
-
-bool load_echo_dataset(io::ckpt::Reader& r,
-                       std::vector<atlas::ProbeSeries>& dataset) {
-  dataset.clear();
-  std::uint64_t n_series = r.size();
-  dataset.reserve(n_series);
-  for (std::uint64_t i = 0; i < n_series; ++i) {
-    atlas::ProbeSeries series;
-    series.meta.probe_id = r.u32();
-    std::uint64_t n_tags = r.size();
-    series.meta.tags.reserve(n_tags);
-    for (std::uint64_t t = 0; t < n_tags; ++t)
-      series.meta.tags.push_back(tag_pool().intern(r.str()));
-    std::uint64_t n_records = r.size();
-    series.records.reserve(n_records);
-    for (std::uint64_t k = 0; k < n_records; ++k) {
-      atlas::EchoRecord rec;
-      rec.probe_id = series.meta.probe_id;
-      rec.hour = r.u64();
-      std::uint8_t family = r.u8();
-      if (family > 1) return false;
-      rec.family = atlas::Family(family);
-      rec.x_client_ip4 = net::IPv4Address(r.u32());
-      rec.src_addr4 = net::IPv4Address(r.u32());
-      std::uint64_t hi = r.u64();
-      std::uint64_t lo = r.u64();
-      rec.x_client_ip6 = net::IPv6Address(hi, lo);
-      hi = r.u64();
-      lo = r.u64();
-      rec.src_addr6 = net::IPv6Address(hi, lo);
-      series.records.push_back(rec);
-    }
-    dataset.push_back(std::move(series));
-  }
-  return r.ok();
-}
-
-void save_assoc_dataset(io::ckpt::Writer& w,
-                        const std::vector<cdn::AssociationLog>& dataset) {
-  w.u64(dataset.size());
-  for (const cdn::AssociationLog& log : dataset) {
-    w.u32(log.asn);
-    // mobile/registry are grafted from the run config at analysis time,
-    // not dataset state; they are deliberately not serialized.
-    w.u64(log.records.size());
-    for (const cdn::AssociationRecord& rec : log.records) {
-      w.u32(rec.day);
-      w.u32(rec.v4_24.address().value());
-      w.u8(std::uint8_t(rec.v4_24.length()));
-      w.u64(rec.v6_64.address().bits().hi);
-      w.u64(rec.v6_64.address().bits().lo);
-      w.u8(std::uint8_t(rec.v6_64.length()));
-      w.u32(rec.asn4);
-      w.u32(rec.asn6);
-      w.u32(rec.subscriber);
-    }
-  }
-}
-
-bool load_assoc_dataset(io::ckpt::Reader& r,
-                        std::vector<cdn::AssociationLog>& dataset) {
-  dataset.clear();
-  std::uint64_t n_logs = r.size();
-  dataset.reserve(n_logs);
-  for (std::uint64_t i = 0; i < n_logs; ++i) {
-    cdn::AssociationLog log;
-    log.asn = r.u32();
-    std::uint64_t n_records = r.size();
-    log.records.reserve(n_records);
-    for (std::uint64_t k = 0; k < n_records; ++k) {
-      cdn::AssociationRecord rec;
-      rec.day = r.u32();
-      std::uint32_t v4 = r.u32();
-      std::uint8_t len4 = r.u8();
-      if (len4 > 32) return false;
-      rec.v4_24 = net::Prefix4(net::IPv4Address(v4), int(len4));
-      std::uint64_t hi = r.u64();
-      std::uint64_t lo = r.u64();
-      std::uint8_t len6 = r.u8();
-      if (len6 > 128) return false;
-      rec.v6_64 = net::Prefix6(net::IPv6Address(hi, lo), int(len6));
-      rec.asn4 = r.u32();
-      rec.asn6 = r.u32();
-      rec.subscriber = r.u32();
-      log.records.push_back(rec);
-    }
-    dataset.push_back(std::move(log));
-  }
-  return r.ok();
-}
-
 // --- watch-directory scanning ---------------------------------------------
 
 /// Unconsumed batch files in `watch_dir`, sorted by natural name order —
@@ -977,12 +857,64 @@ double batch_lag_seconds(const std::filesystem::path& path) {
   return delta.count() > 0 ? delta.count() : 0.0;
 }
 
+// --- consumed-batch ledger --------------------------------------------------
+//
+// The published batch files are the stream's durable state. A stream
+// checkpoint's one shard blob holds, per consumed batch in consumption
+// order, the file's byte size and whole-file CRC32 — a few bytes per
+// batch, however large the accumulated dataset grows. A resume checks every
+// consumed batch against the ledger, then re-loads them.
+
+struct BatchDigest {
+  std::uint64_t size = 0;
+  std::uint32_t crc = 0;
+};
+
+Expected<BatchDigest> digest_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in)
+    return Status(StatusCode::kNotFound, "cannot open batch: " + path.string());
+  BatchDigest d;
+  std::string chunk(std::size_t(1) << 20, '\0');
+  while (in) {
+    in.read(chunk.data(), std::streamsize(chunk.size()));
+    const std::size_t n = std::size_t(in.gcount());
+    d.crc = io::ckpt::crc32(std::string_view(chunk.data(), n), d.crc);
+    d.size += n;
+  }
+  if (in.bad())
+    return Status(StatusCode::kInternal, "cannot read batch: " + path.string());
+  return d;
+}
+
+/// Refuse (kDataLoss, naming the batch) unless the consumed batch `name`
+/// in `watch_dir` is still byte-for-byte the file the ledger recorded.
+Status verify_batch(const std::string& watch_dir, const std::string& name,
+                    const BatchDigest& want) {
+  auto refuse = [&](const std::string& what) {
+    return Status(StatusCode::kDataLoss,
+                  "consumed batch " + name + " " + what +
+                      "; a resumed stream re-reads its consumed batches, so "
+                      "they must stay unchanged in the watch directory "
+                      "until the stream completes");
+  };
+  Expected<BatchDigest> got =
+      digest_file(std::filesystem::path(watch_dir) / name);
+  if (!got.ok()) return refuse("is missing or unreadable");
+  if (got->size != want.size)
+    return refuse("changed size since it was consumed (" +
+                  std::to_string(want.size) + " bytes recorded, " +
+                  std::to_string(got->size) + " found)");
+  if (got->crc != want.crc)
+    return refuse("changed content since it was consumed (CRC32 mismatch)");
+  return Status::Ok();
+}
+
 // --- dataset study policies -------------------------------------------------
 //
 // The per-study glue the one-shot _from_files entrypoints and the generic
 // follow_stream() loop share: how to fingerprint the config, how to load a
-// batch, how to (de)serialize the accumulated dataset, and how to run one
-// analysis pass over it.
+// batch, and how to run one analysis pass over the accumulated dataset.
 
 struct AtlasPolicy {
   const std::vector<simnet::IspProfile>& isps;
@@ -1016,13 +948,6 @@ struct AtlasPolicy {
       records += series.records.size();
     io::merge_echo_datasets(dataset, std::move(batch));
     return Status::Ok();
-  }
-
-  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
-    save_echo_dataset(w, dataset);
-  }
-  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
-    return load_echo_dataset(r, dataset);
   }
 
   void init_study(Study& study) const {
@@ -1082,13 +1007,6 @@ struct CdnPolicy {
     for (const cdn::AssociationLog& log : batch) records += log.records.size();
     io::merge_assoc_datasets(dataset, std::move(batch));
     return Status::Ok();
-  }
-
-  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
-    save_assoc_dataset(w, dataset);
-  }
-  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
-    return load_assoc_dataset(r, dataset);
   }
 
   void init_study(Study& study) const { study.asn_names = config.asn_names; }
@@ -1177,12 +1095,13 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   obs::MetricsRegistry* metrics = policy.config.metrics;
 
   // All stream-side accounting (`ingest.*`, `stream.*`, `checkpoint.*`)
-  // accumulates in one sink persisted inside every checkpoint: unlike the
-  // one-shot file studies, a resumed stream does not re-ingest consumed
-  // batches, so the counters must travel with the high-water mark.
+  // accumulates in one sink persisted inside every checkpoint: it travels
+  // with the high-water mark, so a resume's re-read of the consumed batches
+  // records nothing a second time.
   obs::MetricsSink sink;
   typename Policy::Dataset dataset;
   std::vector<std::string> consumed;
+  std::vector<BatchDigest> ledger;  // one per `consumed` entry
   StreamStats stats;
 
   if (stream.resume) {
@@ -1202,9 +1121,14 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                     "checkpoint is corrupt: stream batch accounting is "
                     "inconsistent");
     io::ckpt::Reader r(ck.shards.front().blob);
-    if (!policy.load_dataset(r, dataset) || r.remaining() != 0)
+    ledger.resize(ck.consumed.size());
+    for (BatchDigest& d : ledger) {
+      d.size = r.u64();
+      d.crc = r.u32();
+    }
+    if (!r.ok() || r.remaining() != 0)
       return Status(StatusCode::kDataLoss,
-                    "checkpoint is corrupt: accumulated dataset failed to "
+                    "checkpoint is corrupt: consumed-batch ledger failed to "
                     "parse");
     if (!ck.supervisor_blob.empty()) {
       io::ckpt::Reader sr(ck.supervisor_blob);
@@ -1212,6 +1136,10 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         return Status(StatusCode::kDataLoss,
                       "checkpoint is corrupt: stream accounting failed to "
                       "parse");
+    }
+    for (std::size_t i = 0; i < ledger.size(); ++i) {
+      Status same = verify_batch(watch_dir, ck.consumed[i], ledger[i]);
+      if (!same.ok()) return same.with_context(label);
     }
     consumed = ck.consumed;
     sink.counter("checkpoint.resumes").add(1);
@@ -1263,8 +1191,9 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   };
 
   // Snapshot the batch high-water mark durably: the consumed-batch list,
-  // the accumulated merged dataset, and the stream accounting sink. Written
-  // after every batch, so a killed stream replays only unconsumed batches.
+  // its size/CRC ledger, and the stream accounting sink. Written after
+  // every batch; its size grows by a few bytes per batch, never with the
+  // accumulated dataset.
   auto write_stream_checkpoint = [&]() -> Status {
     if (stream.checkpoint_path.empty()) return Status::Ok();
     obs::PhaseTimer timer(&sink.phase("checkpoint.write"));
@@ -1273,20 +1202,15 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     ck.config_fingerprint = fingerprint;
     ck.item_count = consumed.size();
     io::ckpt::Writer w;
-    policy.save_dataset(w, dataset);
+    for (const BatchDigest& d : ledger) {
+      w.u64(d.size);
+      w.u32(d.crc);
+    }
     ck.shards.push_back({0, consumed.size(), consumed.size(), w.take()});
     ck.consumed = consumed;
     io::ckpt::Writer sw;
     sink.save(sw);
     ck.supervisor_blob = sw.take();
-    // Disk soft pressure: drop checkpoint retention to keep-last-1 — the
-    // `.prev` sibling is roughly a whole extra copy of the accumulated
-    // dataset, the cheapest durable bytes to give back.
-    bool keep_previous = true;
-    if (stream.governor && stream.governor->disk_soft()) {
-      keep_previous = false;
-      stream.governor->count("retention_drops");
-    }
     Status wrote = Status::Ok();
     for (std::uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
       if (attempt > 0) {
@@ -1295,7 +1219,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
             backoff_ms(/*salt=*/0x636b7074 /*'ckpt'*/, attempt - 1),
             stream.token);
       }
-      wrote = io::write_checkpoint(stream.checkpoint_path, ck, keep_previous);
+      wrote = io::write_checkpoint(stream.checkpoint_path, ck);
       if (wrote.ok()) {
         sink.counter("checkpoint.writes").add(1);
         return wrote;
@@ -1304,6 +1228,61 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     }
     sink.counter("io.giveups").add(1);
     return wrote;
+  };
+
+  // Load one batch with bounded retries. Each attempt reopens the file and
+  // feeds attempt-local ingest stats and metrics; only a fully successful
+  // read merges into the dataset (load_batch's contract). A live batch
+  // (`live` non-null) first records its size and CRC there, and only its
+  // successful attempt's reader accounting reaches the stream, so a retried
+  // batch leaves `ingest.*` identical to a fault-free run. A replayed
+  // batch's reader accounting (ingest.*, quarantine lines, governor shed
+  // counts) is dropped: the restored sink already holds it.
+  auto load_with_retries = [&](const fs::path& path, BatchDigest* live,
+                               std::uint64_t& records) -> Status {
+    const std::uint64_t batch_salt =
+        splitmix64(std::hash<std::string>{}(path.filename().string()));
+    Status loaded = Status::Ok();
+    for (std::uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
+      if (attempt > 0) {
+        sink.counter("io.retries").add(1);
+        interruptible_sleep_ms(backoff_ms(batch_salt, attempt - 1),
+                               stream.token);
+      }
+      if (live) {
+        Expected<BatchDigest> digest = digest_file(path);
+        if (!digest.ok()) {
+          loaded = digest.status();
+          continue;
+        }
+        *live = *digest;
+      }
+      io::ReaderOptions ropts = base_ropts;
+      ropts.source_label = path.string();
+      // Disk soft pressure: shed quarantine copies of rejected lines —
+      // diagnostics, not data; rejects stay counted in `ingest.*` and the
+      // shed volume in `resource.quarantine_shed`.
+      ropts.shed_quarantine = stream.governor && stream.governor->disk_soft();
+      if (!live) ropts.quarantine = nullptr;
+      obs::MetricsSink attempt_sink;
+      if (base_ropts.metrics) ropts.metrics = &attempt_sink;
+      io::IngestStats attempt_ingest;
+      records = 0;
+      loaded = policy.load_batch(path.string(), ropts, &attempt_ingest,
+                                 dataset, records);
+      if (loaded.ok()) {
+        if (!live) return loaded;
+        if (ingest) ingest->merge(attempt_ingest);
+        if (stream.governor)
+          stream.governor->count("quarantine_shed",
+                                 attempt_ingest.quarantine_shed);
+        if (base_ropts.metrics)
+          base_ropts.metrics->merge(std::move(attempt_sink));
+        return loaded;
+      }
+    }
+    sink.counter("io.giveups").add(1);
+    return loaded;
   };
 
   // One re-finalization: a full sharded analysis pass over the accumulated
@@ -1354,8 +1333,31 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     return true;
   };
 
+  // Resume: re-load the verified consumed batches one by one in
+  // consumption order — the exact sequence of load_batch calls the live
+  // stream made — which rebuilds the dataset the high-water mark describes.
+  // The token is polled between batches; an interrupt leaves the
+  // checkpoint being resumed untouched.
+  auto interrupted = [&] { return stream.token && stream.token->requested(); };
+  for (std::size_t i = 0; i < consumed.size() && !interrupted(); ++i) {
+    std::uint64_t records = 0;
+    Status loaded = load_with_retries(fs::path(watch_dir) / consumed[i],
+                                      nullptr, records);
+    if (!loaded.ok()) {
+      publish_stats();
+      return resumable_or(loaded.with_context(consumed[i]));
+    }
+  }
+  if (!consumed.empty() && interrupted()) {
+    publish_stats();
+    return Status(StatusCode::kCancelled,
+                  label + " interrupted by shutdown request while re-reading "
+                          "its consumed batches; the checkpoint it resumed "
+                          "from is intact");
+  }
+
   for (;;) {
-    if (stream.token && stream.token->requested()) {
+    if (interrupted()) {
       sink.counter("checkpoint.interrupted").add(1);
       std::string note = label + " interrupted by shutdown request after " +
                          std::to_string(stats.batches) + " consumed batches";
@@ -1445,7 +1447,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     }
 
     for (const fs::path& path : fresh) {
-      if (stream.token && stream.token->requested()) break;
+      if (interrupted()) break;
       if (stream.max_batches > 0 && stats.batches >= stream.max_batches)
         break;
 
@@ -1455,59 +1457,24 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       if (stream.governor && stream.governor->disk_hard()) {
         stream.governor->count("ingest_pauses");
         while (stream.governor->disk_hard() &&
-               !(stream.token && stream.token->requested()))
+               !interrupted())
           interruptible_sleep_ms(stream.poll_ms, stream.token);
-        if (stream.token && stream.token->requested()) break;
+        if (interrupted()) break;
       }
 
       const double lag = batch_lag_seconds(path);
       last_lag = lag;
-      // Load with bounded retries. Each attempt reopens the stream and
-      // feeds attempt-local ingest stats and metrics; only a fully
-      // successful read merges into the dataset (load_batch's contract)
-      // and into the real accounting — so a retried batch leaves the
-      // study-facing `ingest.*` counters identical to a fault-free run.
-      const std::uint64_t batch_salt =
-          splitmix64(std::hash<std::string>{}(path.filename().string()));
+      BatchDigest digest;
       std::uint64_t records = 0;
-      Status loaded = Status::Ok();
-      for (std::uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          sink.counter("io.retries").add(1);
-          interruptible_sleep_ms(backoff_ms(batch_salt, attempt - 1),
-                                 stream.token);
-        }
-        io::ReaderOptions ropts = base_ropts;
-        ropts.source_label = path.string();
-        // Disk soft pressure: shed quarantine copies of rejected lines —
-        // diagnostics, not data; rejects stay counted in `ingest.*` and
-        // the shed volume in `resource.quarantine_shed`.
-        ropts.shed_quarantine =
-            stream.governor && stream.governor->disk_soft();
-        obs::MetricsSink attempt_sink;
-        if (base_ropts.metrics) ropts.metrics = &attempt_sink;
-        io::IngestStats attempt_ingest;
-        records = 0;
-        loaded = policy.load_batch(path.string(), ropts, &attempt_ingest,
-                                   dataset, records);
-        if (loaded.ok()) {
-          if (ingest) ingest->merge(attempt_ingest);
-          if (stream.governor)
-            stream.governor->count("quarantine_shed",
-                                   attempt_ingest.quarantine_shed);
-          if (base_ropts.metrics)
-            base_ropts.metrics->merge(std::move(attempt_sink));
-          break;
-        }
-      }
+      Status loaded = load_with_retries(path, &digest, records);
       if (!loaded.ok()) {
-        sink.counter("io.giveups").add(1);
         publish_stats();
         return resumable_or(loaded.with_context(path.string()));
       }
 
       const std::string name = path.filename().string();
       consumed.push_back(name);
+      ledger.push_back(digest);
       consumed_set.insert(name);
       ++stats.batches;
       stats.records += records;

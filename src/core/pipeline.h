@@ -239,12 +239,19 @@ Expected<CdnStudy> run_cdn_study_from_files(
 // consuming the accumulators, so the next batch keeps adding.
 //
 // Determinism contract: batches are consumed in natural_name_less order
-// of their file names (below), and ingesting batches B1..Bk produces results byte-identical to a
-// one-shot _from_files run over [B1, ..., Bk] — at any thread count, and
-// including across a mid-stream interrupt + resume. The stream checkpoint
-// (kCkptAtlasStream / kCkptCdnStream) carries a monotone batch high-water
-// mark: the consumed batch list plus the accumulated merged dataset, written
-// after every batch, so a killed stream replays only unconsumed batches.
+// of their file names (below), and ingesting batches B1..Bk produces
+// results byte-identical to a one-shot _from_files run over [B1, ..., Bk] —
+// at any thread count, and including across a mid-stream interrupt +
+// resume. The published batch files are the stream's durable state: the
+// stream checkpoint (kCkptAtlasStream / kCkptCdnStream), written after
+// every batch, carries a monotone batch high-water mark — the consumed
+// batch list plus each batch's byte size and CRC32 — and the stream
+// accounting, never the accumulated dataset. A resume verifies every
+// consumed batch against its recorded size and CRC (a missing or changed
+// batch is a kDataLoss refusal naming it), re-reads them in consumption
+// order — the same per-batch loads and merges the live stream made — and
+// then continues with unconsumed batches. Consumed batches must therefore
+// stay unchanged in the watch directory until the stream completes.
 
 class ResourceGovernor;  // core/resource.h
 
@@ -281,7 +288,8 @@ struct StreamConfig {
   /// mark checkpoint is already durable, so no data is lost.
   ShutdownToken* token = nullptr;
   /// Checkpoint to resume from; null starts fresh. Kind, fingerprint and
-  /// consumed-batch list are validated.
+  /// every consumed batch's size and CRC are validated before the consumed
+  /// batches are re-read.
   const io::StudyCheckpoint* resume = nullptr;
   /// Transient-IO retry budget: total attempts per batch load / checkpoint
   /// write (first try included). 1 disables retries. Each failed attempt
@@ -297,11 +305,11 @@ struct StreamConfig {
   /// Resource governor (core/resource.h); null disables governance. The
   /// stream polls it at batch boundaries and walks the degradation
   /// ladder: memory pressure forces an early checkpoint and defers
-  /// intermediate re-finalizations, disk soft pressure drops checkpoint
-  /// retention to keep-last-1 and sheds quarantine writes, disk hard
-  /// pressure pauses ingest until space recovers. None of these change
-  /// the final outputs (only intermediate publications and diagnostics),
-  /// so governor knobs are excluded from checkpoint fingerprints.
+  /// intermediate re-finalizations, disk soft pressure sheds quarantine
+  /// writes, disk hard pressure pauses ingest until space recovers. None
+  /// of these change the final outputs (only intermediate publications and
+  /// diagnostics), so governor knobs are excluded from checkpoint
+  /// fingerprints.
   ResourceGovernor* governor = nullptr;
   /// Backpressure: when the last consumed batch's `stream.lag_seconds`
   /// exceeds this, intermediate re-finalizations are skipped (counted in

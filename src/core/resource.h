@@ -17,8 +17,9 @@
 //        re-finalization pass is the memory-hungry step, it builds a full
 //        per-shard analyzer set over the accumulated dataset
 //   disk soft pressure (free < min_disk_free_mb)
-//     -> drop checkpoint retention to keep-last-1 (the `.prev` sibling is
-//        released) and shed quarantine writes — counted, never silent
+//     -> shed quarantine writes — counted, never silent (checkpoint
+//        retention stays keep-last-2: a stream checkpoint is a ledger of a
+//        few bytes per consumed batch, not worth giving up `.prev` for)
 //   disk hard pressure (free < min_disk_free_mb / 2)
 //     -> pause ingest entirely until space recovers
 //

@@ -225,7 +225,7 @@ Status write_checkpoint(const std::string& path, const StudyCheckpoint& ckpt,
   Status wrote = write_file_atomic(path, encoded, keep_previous)
                      .with_context("write checkpoint " + path);
   if (wrote.ok() && !keep_previous) {
-    // keep-last-1 retention (disk pressure): once the new generation is
+    // keep-last-1 retention: once the new generation is
     // durable, release any `.prev` sibling left by earlier keep-last-2
     // writes. Best-effort — a lingering `.prev` only costs bytes.
     std::error_code ec;

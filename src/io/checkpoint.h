@@ -21,7 +21,12 @@
 // Sections: one META (kind, fingerprint, item count, shard count), one SHRD
 // per shard (begin, end, next, blob), optional REGS (registry snapshot),
 // SUPV (supervisor sink) and STRM (streaming-mode batch high-water mark:
-// the consumed batch basenames in consumption order). Every section carries
+// the consumed batch basenames in consumption order). A stream checkpoint
+// has exactly one SHRD, whose range is [0, consumed) and whose blob is the
+// consumed-batch ledger: per STRM name, in the same order, the batch file's
+// u64 byte size and u32 whole-file CRC32 — the batch files themselves are
+// the stream's data, re-read on resume; SUPV carries the stream's
+// accounting sink. Every section carries
 // its own CRC32 and the file a whole-file CRC, so a single flipped bit or a
 // truncated tail is detected and rejected with a descriptive Status — never
 // a crash or a silently wrong resume.
@@ -275,9 +280,10 @@ struct StudyCheckpoint {
   /// The supervisor's own sink (`checkpoint.*` counters/timers).
   std::string supervisor_blob;
   /// Streaming mode only: the batch high-water mark — basenames of every
-  /// ingested batch file, in consumption order. A resumed stream skips
-  /// these and replays only batches not yet consumed. Empty (and absent
-  /// from the file) for the one-shot study kinds.
+  /// ingested batch file, in consumption order. A resumed stream verifies
+  /// these against the shard blob's size/CRC ledger, re-reads them, then
+  /// consumes only batches not yet consumed. Empty (and absent from the
+  /// file) for the one-shot study kinds.
   std::vector<std::string> consumed;
 
   std::uint64_t items_done() const {
@@ -298,9 +304,8 @@ core::Expected<StudyCheckpoint> decode_checkpoint(std::string_view bytes);
 /// Atomically write `ckpt` to `path` (tmp + rename). With `keep_previous`
 /// (the default) an existing checkpoint is retained as `path.prev` until
 /// the new one is durable — keep-last-2 retention. Passing false drops
-/// retention to keep-last-1 (the resource governor does this under disk
-/// pressure): the write itself is still atomic, and any existing `.prev`
-/// is removed once the new generation is in place.
+/// retention to keep-last-1: the write itself is still atomic, and any
+/// existing `.prev` is removed once the new generation is in place.
 core::Status write_checkpoint(const std::string& path,
                               const StudyCheckpoint& ckpt,
                               bool keep_previous = true);

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -81,6 +82,37 @@ std::string save_bytes(const A& analyzer) {
 
 bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
+}
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Append one malformed line to a batch file: rejected (and counted in
+/// `ingest.reject.*`) within the default error budget.
+void append_bad_line(const std::string& path) {
+  std::ofstream(path, std::ios::binary | std::ios::app) << "not,a,record\n";
+}
+
+/// A registry's counters and histograms minus the `checkpoint.*`
+/// accounting — what an interrupted-and-resumed stream must share with a
+/// straight one. A resume that re-counted its re-read batches shows here.
+struct StudyMetrics {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, obs::Histogram> histograms;
+};
+
+StudyMetrics metrics_except_checkpoint(const obs::MetricsRegistry& reg) {
+  const obs::MetricsSink snap = reg.snapshot();
+  StudyMetrics out;
+  for (const auto& [name, counter] : snap.counters())
+    if (!name.starts_with("checkpoint.")) out.counters[name] = counter.value;
+  for (const auto& [name, hist] : snap.histograms())
+    if (!name.starts_with("checkpoint.")) out.histograms[name] = hist;
+  return out;
 }
 
 // Shared Atlas fixture: a small generated dataset plus the CleanProbes a
@@ -424,7 +456,7 @@ TEST(StreamCheckpoint, RoundTripCarriesConsumedBatches) {
   ck.kind = io::kCkptAtlasStream;
   ck.config_fingerprint = 0xfeedfacecafef00dull;
   ck.item_count = 2;
-  ck.shards.push_back({0, 2, 2, "accumulated-dataset-blob"});
+  ck.shards.push_back({0, 2, 2, "consumed-batch-ledger"});
   ck.supervisor_blob = "stream-sink";
   ck.consumed = {"batch-000.csv", "batch-001.csv"};
 
@@ -436,7 +468,7 @@ TEST(StreamCheckpoint, RoundTripCarriesConsumedBatches) {
   EXPECT_EQ(back->config_fingerprint, ck.config_fingerprint);
   EXPECT_EQ(back->item_count, 2u);
   ASSERT_EQ(back->shards.size(), 1u);
-  EXPECT_EQ(back->shards[0].blob, "accumulated-dataset-blob");
+  EXPECT_EQ(back->shards[0].blob, "consumed-batch-ledger");
   EXPECT_EQ(back->supervisor_blob, "stream-sink");
   EXPECT_EQ(back->consumed, ck.consumed);
 }
@@ -649,6 +681,9 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   const fs::path ckdir = temp_dir("stream_atlas_resume_ckpt");
   const std::string ckpt = (ckdir / "study.ckpt").string();
   const auto paths = write_atlas_batches(watch, fx.dataset, 4);
+  // A within-budget reject in a batch consumed before the interrupt: the
+  // resume re-reads it, and must not count it a second time.
+  append_bad_line(paths[0]);
 
   core::AtlasFileStudyConfig ref_cfg;
   ref_cfg.threads = 1;
@@ -659,8 +694,10 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   // Phase 1: consume exactly two batches at threads=1, leaving the batch
   // high-water-mark checkpoint behind.
   {
+    obs::MetricsRegistry reg;
     core::AtlasFileStudyConfig cfg;
     cfg.threads = 1;
+    cfg.metrics = &reg;
     core::StreamConfig stream;
     stream.max_batches = 2;
     stream.checkpoint_path = ckpt;
@@ -670,6 +707,8 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
                                nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(reg.snapshot().counter("ingest.reject.bad_field_count").value,
+              1u);
   }
 
   auto ck = io::read_checkpoint(ckpt);
@@ -679,22 +718,54 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   EXPECT_EQ(ck->consumed[0], "batch-000.csv");
   EXPECT_EQ(ck->consumed[1], "batch-001.csv");
 
-  // Phase 2: resume at threads=4; only the unconsumed batches are replayed.
+  // The checkpoint stays flat: `.prev` is the snapshot after batch 1, and
+  // batch 2 adds its name, its size/CRC and a few accounting bytes — never
+  // the batch's records.
+  EXPECT_LE(fs::file_size(ckpt),
+            fs::file_size(ckpt + ".prev") + 64 + ck->consumed[1].size());
+
+  // Phase 2: resume at threads=4; the consumed batches are re-read, the
+  // rest consumed live.
   drop_sentinel(watch, "stream.stop");
+  obs::MetricsRegistry resumed;
   {
     core::AtlasFileStudyConfig cfg;
     cfg.threads = 4;
+    cfg.metrics = &resumed;
+    std::ostringstream quarantine;
+    cfg.reader.quarantine = &quarantine;
     core::StreamConfig stream;
     stream.checkpoint_path = ckpt;
     stream.resume = &*ck;
     core::StreamStats stats;
+    io::IngestStats ingest;
     auto study =
         core::run_atlas_stream(watch.string(), fx.isps, cfg, stream, {},
-                               nullptr, &stats);
+                               &ingest, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(atlas_signature(*study), want);
     EXPECT_EQ(stats.batches, 4u);
+    // Reader accounting covers only the batches this run consumed live.
+    EXPECT_EQ(ingest.total_rejects(), 0u);
+    EXPECT_TRUE(quarantine.str().empty()) << quarantine.str();
   }
+
+  // Metrics: identical to a straight stream over the same batches, bar the
+  // checkpoint accounting.
+  obs::MetricsRegistry straight;
+  {
+    core::AtlasFileStudyConfig cfg;
+    cfg.threads = 1;
+    cfg.metrics = &straight;
+    auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, {});
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    EXPECT_EQ(atlas_signature(*study), want);
+  }
+  const StudyMetrics got = metrics_except_checkpoint(resumed);
+  const StudyMetrics exp = metrics_except_checkpoint(straight);
+  EXPECT_EQ(got.counters, exp.counters);
+  EXPECT_TRUE(got.histograms == exp.histograms);
+  EXPECT_EQ(got.counters.at("ingest.reject.bad_field_count"), 1u);
 
   // Retention: tmp + rename with a `.prev` survivor means the checkpoint
   // directory never holds more than the live file and one predecessor.
@@ -816,42 +887,178 @@ TEST(CdnStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   const fs::path watch = temp_dir("stream_cdn_watch");
   const fs::path ckdir = temp_dir("stream_cdn_ckpt");
   const std::string ckpt = (ckdir / "study.ckpt").string();
-  const auto paths = write_cdn_batches(watch, fx.logs, 3);
+  const auto paths = write_cdn_batches(watch, fx.logs, 4);
+  append_bad_line(paths[0]);
 
   auto ref = core::run_cdn_study_from_files(paths, cdn_file_config(1));
   ASSERT_TRUE(ref.ok()) << ref.status().to_string();
   const std::string want = cdn_signature(*ref);
 
-  // Phase 1 at threads=4 stops after one batch; phase 2 resumes at
+  // Phase 1 at threads=4 stops after two batches; phase 2 resumes at
   // threads=1 — the thread knob must not leak into results.
   {
+    obs::MetricsRegistry reg;
+    core::CdnFileStudyConfig cfg = cdn_file_config(4);
+    cfg.metrics = &reg;
     core::StreamConfig stream;
-    stream.max_batches = 1;
+    stream.max_batches = 2;
     stream.checkpoint_path = ckpt;
     core::StreamStats stats;
-    auto study = core::run_cdn_stream(watch.string(), cdn_file_config(4),
-                                      stream, {}, nullptr, &stats);
+    auto study =
+        core::run_cdn_stream(watch.string(), cfg, stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
-    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(reg.snapshot().counter("ingest.reject.bad_field_count").value,
+              1u);
   }
 
   auto ck = io::read_checkpoint(ckpt);
   ASSERT_TRUE(ck.ok()) << ck.status().to_string();
   EXPECT_EQ(ck->kind, io::kCkptCdnStream);
-  ASSERT_EQ(ck->consumed.size(), 1u);
+  ASSERT_EQ(ck->consumed.size(), 2u);
+  // Flat checkpoint: `.prev` is the snapshot after batch 1.
+  EXPECT_LE(fs::file_size(ckpt),
+            fs::file_size(ckpt + ".prev") + 64 + ck->consumed[1].size());
 
   drop_sentinel(watch, "stream.stop");
+  obs::MetricsRegistry resumed;
   {
+    core::CdnFileStudyConfig cfg = cdn_file_config(1);
+    cfg.metrics = &resumed;
     core::StreamConfig stream;
     stream.checkpoint_path = ckpt;
     stream.resume = &*ck;
     core::StreamStats stats;
-    auto study = core::run_cdn_stream(watch.string(), cdn_file_config(1),
-                                      stream, {}, nullptr, &stats);
+    io::IngestStats ingest;
+    auto study =
+        core::run_cdn_stream(watch.string(), cfg, stream, {}, &ingest, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(cdn_signature(*study), want);
-    EXPECT_EQ(stats.batches, 3u);
+    EXPECT_EQ(stats.batches, 4u);
+    EXPECT_EQ(ingest.total_rejects(), 0u);
   }
+
+  obs::MetricsRegistry straight;
+  {
+    core::CdnFileStudyConfig cfg = cdn_file_config(1);
+    cfg.metrics = &straight;
+    auto study = core::run_cdn_stream(watch.string(), cfg, {});
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    EXPECT_EQ(cdn_signature(*study), want);
+  }
+  const StudyMetrics got = metrics_except_checkpoint(resumed);
+  const StudyMetrics exp = metrics_except_checkpoint(straight);
+  EXPECT_EQ(got.counters, exp.counters);
+  EXPECT_TRUE(got.histograms == exp.histograms);
+  EXPECT_EQ(got.counters.at("ingest.reject.bad_field_count"), 1u);
+}
+
+/// Phase 1 of the resume-refusal tests: stream two of three Atlas batches
+/// with a checkpoint, and return the checkpoint read back.
+io::StudyCheckpoint two_batch_atlas_checkpoint(const fs::path& watch,
+                                               const std::string& ckpt) {
+  const AtlasFixture& fx = atlas_fixture();
+  write_atlas_batches(watch, fx.dataset, 3);
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 1;
+  core::StreamConfig stream;
+  stream.max_batches = 2;
+  stream.checkpoint_path = ckpt;
+  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+  EXPECT_TRUE(study.ok()) << study.status().to_string();
+  auto ck = io::read_checkpoint(ckpt);
+  EXPECT_TRUE(ck.ok()) << ck.status().to_string();
+  return ck.ok() ? ck.take() : io::StudyCheckpoint{};
+}
+
+TEST(AtlasStream, ResumeRefusesAChangedConsumedBatch) {
+  // The published batches are the stream's durable state: a consumed batch
+  // that was altered, truncated or deleted cannot be re-read, so the resume
+  // is a DATA_LOSS refusal naming it, and the checkpoint stays untouched.
+  const AtlasFixture& fx = atlas_fixture();
+  const std::vector<std::pair<std::string, std::string>> damages = {
+      {"flip", "changed content"},
+      {"truncate", "changed size"},
+      {"delete", "is missing"}};
+  for (const auto& [damage, says] : damages) {
+    const fs::path watch = temp_dir("stream_refuse_watch_" + damage);
+    const fs::path ckdir = temp_dir("stream_refuse_ckpt_" + damage);
+    const std::string ckpt = (ckdir / "study.ckpt").string();
+    const io::StudyCheckpoint ck = two_batch_atlas_checkpoint(watch, ckpt);
+    ASSERT_EQ(ck.consumed.size(), 2u) << damage;
+    const std::string before = file_bytes(ckpt);
+    const std::string before_prev = file_bytes(ckpt + ".prev");
+
+    const fs::path victim = watch / ck.consumed[1];
+    const std::uintmax_t size = fs::file_size(victim);
+    if (damage == "flip") {
+      std::string bytes = file_bytes(victim);
+      bytes[bytes.size() / 2] ^= 0x01;
+      std::ofstream(victim, std::ios::binary | std::ios::trunc) << bytes;
+      ASSERT_EQ(fs::file_size(victim), size);
+    } else if (damage == "truncate") {
+      fs::resize_file(victim, size - 1);
+    } else {
+      fs::remove(victim);
+    }
+
+    drop_sentinel(watch, "stream.stop");
+    core::AtlasFileStudyConfig cfg;
+    cfg.threads = 1;
+    core::StreamConfig stream;
+    stream.checkpoint_path = ckpt;
+    stream.resume = &ck;
+    auto refused = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+    ASSERT_FALSE(refused.ok()) << damage;
+    EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss) << damage;
+    const std::string message = refused.status().message();
+    EXPECT_TRUE(contains(message, "batch-001.csv")) << message;
+    EXPECT_TRUE(contains(message, says)) << message;
+    EXPECT_EQ(file_bytes(ckpt), before) << damage;
+    EXPECT_EQ(file_bytes(ckpt + ".prev"), before_prev) << damage;
+  }
+}
+
+TEST(AtlasStream, InterruptWhileReReadingLeavesTheCheckpointIntact) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("stream_replay_cancel_watch");
+  const fs::path ckdir = temp_dir("stream_replay_cancel_ckpt");
+  const std::string ckpt = (ckdir / "study.ckpt").string();
+  const io::StudyCheckpoint ck = two_batch_atlas_checkpoint(watch, ckpt);
+  ASSERT_EQ(ck.consumed.size(), 2u);
+  const std::string before = file_bytes(ckpt);
+  drop_sentinel(watch, "stream.stop");
+
+  core::ShutdownToken token;
+  token.request();
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 1;
+  core::StreamConfig stream;
+  stream.checkpoint_path = ckpt;
+  stream.token = &token;
+  stream.resume = &ck;
+  auto cancelled = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_TRUE(contains(cancelled.status().message(), "re-reading"))
+      << cancelled.status().to_string();
+  EXPECT_EQ(file_bytes(ckpt), before);
+
+  // The untouched checkpoint still resumes to the one-shot results.
+  token.clear();
+  core::AtlasFileStudyConfig ref_cfg;
+  ref_cfg.threads = 1;
+  std::vector<std::string> paths;
+  for (const char* name : {"batch-000.csv", "batch-001.csv", "batch-002.csv"})
+    paths.push_back((watch / name).string());
+  auto ref = core::run_atlas_study_from_files(paths, fx.isps, ref_cfg);
+  ASSERT_TRUE(ref.ok()) << ref.status().to_string();
+  core::StreamStats stats;
+  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
+                                      {}, nullptr, &stats);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), atlas_signature(*ref));
+  EXPECT_EQ(stats.batches, 3u);
 }
 
 // ---------------------------------------------- injected-fault streaming
@@ -1046,7 +1253,7 @@ TEST(StreamGovernor, MemoryPressureDefersIntermediateRefinalizes) {
   }
 }
 
-TEST(StreamGovernor, DiskSoftPressureDropsRetentionAndShedsQuarantine) {
+TEST(StreamGovernor, DiskSoftPressureShedsQuarantineAndKeepsPrev) {
   const AtlasFixture& fx = atlas_fixture();
   const fs::path watch = temp_dir("stream_gov_soft_watch");
   const fs::path ckdir = temp_dir("stream_gov_soft_ckpt");
@@ -1092,17 +1299,18 @@ TEST(StreamGovernor, DiskSoftPressureDropsRetentionAndShedsQuarantine) {
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 4u);
 
-  // Keep-last-1 retention: four checkpoint writes, no `.prev` survivor.
+  // Retention is not a pressure valve: a stream checkpoint is a few bytes
+  // per batch, so the `.prev` generation survives disk pressure.
   std::set<std::string> entries;
   for (const auto& e : fs::directory_iterator(ckdir))
     entries.insert(e.path().filename().string());
-  EXPECT_EQ(entries, (std::set<std::string>{"study.ckpt"}));
+  EXPECT_EQ(entries,
+            (std::set<std::string>{"study.ckpt", "study.ckpt.prev"}));
 
   // The quarantine copy was shed — but the reject stayed counted and the
   // shed volume is observable.
   EXPECT_TRUE(stream_quarantine.str().empty()) << stream_quarantine.str();
   auto snap = govreg.snapshot();
-  EXPECT_GE(snap.counter("resource.retention_drops").value, 1u);
   EXPECT_GE(snap.counter("resource.quarantine_shed").value, 1u);
 }
 

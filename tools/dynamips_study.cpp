@@ -43,7 +43,9 @@
 // `stream.stop` in DIR ends the stream: the final re-finalization records
 // metrics and the tool exits 0 with results byte-identical to a one-shot
 // run over the same batches. SIGINT/SIGTERM exits 3; re-running with
-// --resume-from replays only unconsumed batches, at any --threads value.
+// --resume-from, at any --threads value, re-reads the consumed batches
+// (which must be unchanged: each is checked against the size and CRC32
+// the checkpoint recorded) and continues with the unconsumed ones.
 //
 // Looking-glass mode: --serve PORT starts the src/lg/ HTTP service (GET
 // /v1/durations/<asn>, /v1/assoc/<asn>, /v1/infer/<prefix>,
@@ -90,8 +92,8 @@
 //
 // Resource governance: --max-rss-mb / --min-disk-free-mb arm the
 // core/resource.h governor; the stream degrades gracefully under pressure
-// (early checkpoints, deferred re-finalizations, keep-last-1 retention,
-// quarantine shedding, ingest pauses) without changing final outputs, and
+// (early checkpoints, deferred re-finalizations, quarantine shedding,
+// ingest pauses) without changing final outputs, and
 // /v1/readyz reports the governed state (503 + Retry-After while
 // degraded) while /v1/healthz stays a pure liveness probe.
 #include <chrono>
