@@ -187,6 +187,10 @@ void AtlasSimulator::emit_hours(const ProbeInfo& info,
       192, 168, 1, std::uint8_t(2 + info.probe_id % 250));
   bool public_src = info.role == ProbeRole::kPublicSrc;
 
+  // At most one record per family and hour: size the span once instead of
+  // regrowing the series record by record.
+  if (to > from)
+    out.reserve(out.size() + std::size_t(to - from) * (tl.dual_stack ? 2 : 1));
   for (Hour h = from; h < to; ++h) {
     if (!rng.bernoulli(config_.hourly_presence)) continue;
     const Assignment4* s4 = segment_at(tl.v4, h);

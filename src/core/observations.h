@@ -32,9 +32,13 @@ struct Obs6 {
   bool src_matches = true;     ///< src_addr equalled X-Client-IP (typical)
 };
 
-/// All observations of one probe, hour-ordered per family. Tags are
-/// interned ids (core::tag_pool()), not strings — a probe never copies
-/// tag text on its way through the pipeline.
+/// All observations of one probe, hour-ordered per family (repeated hours
+/// allowed). Every producer (from_series, the CSV and columnar readers)
+/// emits that order; the sanitizer checks it with one O(n) scan per family
+/// and stable-sorts a family that fails the scan, so hand-built input is
+/// still valid and same-hour observations of one family keep their input
+/// order. Tags are interned ids (core::tag_pool()), not strings — a probe
+/// never copies tag text on its way through the pipeline.
 struct ProbeObservations {
   std::uint32_t probe_id = 0;
   std::vector<TagId> tags;

@@ -113,6 +113,14 @@ class Sanitizer {
 
   /// Sanitize one probe. Returns zero CleanProbes when fully filtered, one
   /// for a typical probe, several for a probe that moved between ASes.
+  ///
+  /// AS runs come from one linear merge of the two hour-ordered families:
+  /// on equal hours the v4 observation precedes the v6 one, and within a
+  /// family same-hour observations keep their input order. That tie rule
+  /// decides the run sequence when a v4 and a v6 observation of the same
+  /// hour map to different ASes, so it is fixed here rather than left to a
+  /// sort. A family that is not hour-ordered (observations.h) is
+  /// stable-sorted into per-call scratch first.
   std::vector<CleanProbe> sanitize(const ProbeObservations& probe);
 
   /// Absorb another sanitizer's filter accounting (shard reduction).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 namespace dynamips::core {
 namespace {
 
@@ -214,6 +217,236 @@ TEST(Sanitize, FromSeriesConversion) {
   EXPECT_FALSE(from_series(series).v4[0].src_public);
   series.records[0].src_addr4 = *IPv4Address::parse("8.8.8.8");
   EXPECT_TRUE(from_series(series).v4[0].src_public);
+}
+
+TEST(Sanitize, EqualHourTieTakesV4First) {
+  // AS100 until hour 1000, AS200 from then on, except that the v6
+  // observation at hour 1000 still reports AS100. Taking v4 first at that
+  // hour gives the runs 100, 200, 100, 200 (multihomed); taking v6 first
+  // would give 100, 200 (a clean split).
+  auto rib = test_rib();
+  Sanitizer s(rib, {});
+  ProbeObservations p;
+  p.probe_id = 10;
+  for (Hour h = 0; h < 2000; ++h) {
+    const bool late = h >= 1000;
+    p.v4.push_back({h, *IPv4Address::parse(late ? "20.1.2.3" : "10.1.2.3"),
+                    false});
+    p.v6.push_back({h,
+                    *IPv6Address::parse(late && h != 1000 ? "2001:200::1"
+                                                          : "2001:100::1"),
+                    true});
+  }
+  EXPECT_TRUE(s.sanitize(p).empty());
+  EXPECT_EQ(s.stats().dropped_multihomed, 1u);
+}
+
+// ------------------------------------------------ merge-order properties
+//
+// The reference is the tie rule written the obvious way: v4 (test address
+// stripped) then v6 in one list, std::stable_sort by hour, unrouted
+// observations dropped, the ASN sequence compressed into runs. Equal-hour
+// ties therefore come out v4 first and in input order within a family.
+
+void expect_same(const std::vector<CleanProbe>& got,
+                 const std::vector<CleanProbe>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const CleanProbe& g = got[i];
+    const CleanProbe& w = want[i];
+    EXPECT_EQ(g.probe_id, w.probe_id);
+    EXPECT_EQ(g.virtual_index, w.virtual_index);
+    EXPECT_EQ(g.asn, w.asn);
+    EXPECT_EQ(g.first_hour, w.first_hour);
+    EXPECT_EQ(g.last_hour, w.last_hour);
+    ASSERT_EQ(g.v4.size(), w.v4.size());
+    for (std::size_t j = 0; j < g.v4.size(); ++j) {
+      EXPECT_EQ(g.v4[j].hour, w.v4[j].hour);
+      EXPECT_EQ(g.v4[j].addr, w.v4[j].addr);
+      EXPECT_EQ(g.v4[j].src_public, w.v4[j].src_public);
+    }
+    ASSERT_EQ(g.v6.size(), w.v6.size());
+    for (std::size_t j = 0; j < g.v6.size(); ++j) {
+      EXPECT_EQ(g.v6[j].hour, w.v6[j].hour);
+      EXPECT_EQ(g.v6[j].addr, w.v6[j].addr);
+      EXPECT_EQ(g.v6[j].src_matches, w.v6[j].src_matches);
+    }
+  }
+}
+
+void expect_same(const SanitizeStats& got, const SanitizeStats& want) {
+  EXPECT_EQ(got.probes_seen, want.probes_seen);
+  EXPECT_EQ(got.probes_kept, want.probes_kept);
+  EXPECT_EQ(got.virtual_probes, want.virtual_probes);
+  EXPECT_EQ(got.split_probes, want.split_probes);
+  EXPECT_EQ(got.dropped_short, want.dropped_short);
+  EXPECT_EQ(got.dropped_bad_tag, want.dropped_bad_tag);
+  EXPECT_EQ(got.dropped_public_src, want.dropped_public_src);
+  EXPECT_EQ(got.dropped_v6_mismatch, want.dropped_v6_mismatch);
+  EXPECT_EQ(got.dropped_multihomed, want.dropped_multihomed);
+  EXPECT_EQ(got.test_address_records, want.test_address_records);
+}
+
+// Generated probes carry no disqualifying tag and pass the NAT checks, so
+// the reference covers the steps those probes reach.
+std::vector<CleanProbe> reference_sanitize(const bgp::Rib& rib,
+                                           const SanitizeOptions& options,
+                                           const ProbeObservations& probe,
+                                           SanitizeStats& stats) {
+  ++stats.probes_seen;
+  std::vector<Obs4> v4;
+  for (const Obs4& o : probe.v4) {
+    if (o.addr == atlas::ripe_test_address()) {
+      ++stats.test_address_records;
+    } else {
+      v4.push_back(o);
+    }
+  }
+  struct Tagged {
+    Hour hour;
+    bgp::Asn asn;
+  };
+  std::vector<Tagged> tagged;
+  for (const Obs4& o : v4) tagged.push_back({o.hour, rib.asn_of(o.addr)});
+  for (const Obs6& o : probe.v6) tagged.push_back({o.hour, rib.asn_of(o.addr)});
+  std::stable_sort(tagged.begin(), tagged.end(),
+                   [](const Tagged& a, const Tagged& b) {
+                     return a.hour < b.hour;
+                   });
+  struct Run {
+    bgp::Asn asn;
+    Hour first, last;
+  };
+  std::vector<Run> runs;
+  for (const Tagged& t : tagged) {
+    if (t.asn == 0) continue;
+    if (runs.empty() || runs.back().asn != t.asn) {
+      runs.push_back({t.asn, t.hour, t.hour});
+    } else {
+      runs.back().last = t.hour;
+    }
+  }
+  if (runs.empty()) {
+    ++stats.dropped_short;
+    return {};
+  }
+  if (int(runs.size()) > options.max_as_runs) {
+    ++stats.dropped_multihomed;
+    return {};
+  }
+  std::vector<CleanProbe> out;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& run = runs[i];
+    if (run.last - run.first < options.min_observation_hours) {
+      ++stats.dropped_short;
+      continue;
+    }
+    CleanProbe cp;
+    cp.probe_id = probe.probe_id;
+    cp.virtual_index = int(i);
+    cp.asn = run.asn;
+    cp.first_hour = run.first;
+    cp.last_hour = run.last;
+    auto member = [&](Hour h, bgp::Asn asn) {
+      return h >= run.first && h <= run.last && asn == run.asn;
+    };
+    for (const Obs4& o : v4)
+      if (member(o.hour, rib.asn_of(o.addr))) cp.v4.push_back(o);
+    for (const Obs6& o : probe.v6)
+      if (member(o.hour, rib.asn_of(o.addr))) cp.v6.push_back(o);
+    out.push_back(std::move(cp));
+  }
+  if (!out.empty()) {
+    ++stats.probes_kept;
+    stats.virtual_probes += out.size();
+    if (out.size() > 1) ++stats.split_probes;
+  }
+  return out;
+}
+
+// A random hour-ordered probe: one AS, a clean switch, or alternation
+// between AS100 and AS200. v6 observations near the switch report the
+// other AS than v4 at the same hour, and unrouted blips, repeated hours
+// within a family and a test-address head occur throughout. A noisy probe
+// also repeats hours with another AS and flips v6 anywhere.
+ProbeObservations random_probe(std::mt19937& rng, std::uint32_t id) {
+  const IPv4Address a4[] = {*IPv4Address::parse("10.1.2.3"),
+                            *IPv4Address::parse("20.1.2.3"),
+                            *IPv4Address::parse("99.9.9.9")};
+  const IPv6Address a6[] = {*IPv6Address::parse("2001:100::1"),
+                            *IPv6Address::parse("2001:200::1"),
+                            *IPv6Address::parse("2001:300::1")};
+  auto chance = [&](unsigned one_in) { return rng() % one_in == 0; };
+  ProbeObservations p;
+  p.probe_id = id;
+  p.tags = {tag_pool().intern("home")};
+  const Hour hours = 600 + rng() % 2400;
+  const unsigned mode = rng() % 3;
+  const bool noisy = chance(4);
+  const Hour switch_at = rng() % hours;
+  const Hour period = 1 + rng() % 200;
+  for (Hour h = 0; h < hours; ++h) {
+    unsigned as = mode == 0 ? 0 : mode == 1 ? h >= switch_at : (h / period) % 2;
+    auto repeat = [&] { return noisy ? rng() % 3 : as; };
+    if (!chance(10)) {
+      p.v4.push_back({h, a4[chance(60) ? 2 : as], false});
+      if (chance(100)) p.v4.push_back({h, a4[repeat()], false});
+    }
+    if (!chance(10)) {
+      const bool near_switch = h + 2 >= switch_at && h <= switch_at + 2;
+      const bool flip = near_switch ? chance(4) : noisy && chance(800);
+      p.v6.push_back({h, a6[chance(60) ? 2 : flip ? 1 - as : as], true});
+      if (chance(100)) p.v6.push_back({h, a6[repeat()], true});
+    }
+  }
+  if (chance(4))
+    for (std::size_t i = 0; i < p.v4.size() && i < 3; ++i)
+      p.v4[i].addr = atlas::ripe_test_address();
+  return p;
+}
+
+TEST(SanitizeProperty, MergeMatchesStableSortReference) {
+  auto rib = test_rib();
+  SanitizeOptions wide;
+  wide.max_as_runs = 3;
+  wide.min_observation_hours = 200;
+  for (const SanitizeOptions& options : {SanitizeOptions{}, wide}) {
+    std::mt19937 rng(20201027);
+    Sanitizer s(rib, options);
+    SanitizeStats want_stats;
+    for (std::uint32_t id = 0; id < 400; ++id) {
+      const ProbeObservations p = random_probe(rng, id);
+      SCOPED_TRACE(id);
+      expect_same(s.sanitize(p), reference_sanitize(rib, options, p,
+                                                    want_stats));
+    }
+    expect_same(s.stats(), want_stats);
+    // Every outcome the merge decides occurs in the sample.
+    EXPECT_GT(want_stats.probes_kept, 0u);
+    EXPECT_GT(want_stats.split_probes, 0u);
+    EXPECT_GT(want_stats.dropped_multihomed, 0u);
+    EXPECT_GT(want_stats.dropped_short, 0u);
+    EXPECT_GT(want_stats.test_address_records, 0u);
+  }
+}
+
+TEST(SanitizeProperty, UnsortedFamiliesMatchTheirSortedCopy) {
+  auto rib = test_rib();
+  std::mt19937 rng(4941);
+  Sanitizer shuffled_s(rib, {}), sorted_s(rib, {});
+  auto by_hour = [](const auto& a, const auto& b) { return a.hour < b.hour; };
+  for (std::uint32_t id = 0; id < 200; ++id) {
+    ProbeObservations shuffled = random_probe(rng, id);
+    std::shuffle(shuffled.v4.begin(), shuffled.v4.end(), rng);
+    std::shuffle(shuffled.v6.begin(), shuffled.v6.end(), rng);
+    ProbeObservations sorted = shuffled;
+    std::stable_sort(sorted.v4.begin(), sorted.v4.end(), by_hour);
+    std::stable_sort(sorted.v6.begin(), sorted.v6.end(), by_hour);
+    SCOPED_TRACE(id);
+    expect_same(shuffled_s.sanitize(shuffled), sorted_s.sanitize(sorted));
+  }
+  expect_same(shuffled_s.stats(), sorted_s.stats());
+  EXPECT_GT(sorted_s.stats().probes_kept, 0u);
 }
 
 }  // namespace
