@@ -133,8 +133,11 @@ SubscriberTimeline TimelineGenerator::generate(std::uint32_t id, Hour start,
     }
   }
 
-  std::sort(changes.begin(), changes.end(),
-            [](const Change& a, const Change& b) { return a.at < b.at; });
+  // Stable: of several changes at the same hour, the one pushed first keeps
+  // its cause, so a coupled or own change wins over a CPE scramble.
+  std::stable_sort(
+      changes.begin(), changes.end(),
+      [](const Change& a, const Change& b) { return a.at < b.at; });
   changes.erase(std::unique(changes.begin(), changes.end(),
                             [](const Change& a, const Change& b) {
                               return a.at == b.at;

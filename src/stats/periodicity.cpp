@@ -51,10 +51,11 @@ std::vector<PeriodicMode> PeriodicityDetector::detect(
   for (auto p : candidates)
     if (auto m = check(ttf, p)) modes.push_back(*m);
 
-  std::sort(modes.begin(), modes.end(),
-            [](const PeriodicMode& a, const PeriodicMode& b) {
-              return a.time_fraction > b.time_fraction;
-            });
+  // Stable: equally strong modes stay in ascending period order.
+  std::stable_sort(modes.begin(), modes.end(),
+                   [](const PeriodicMode& a, const PeriodicMode& b) {
+                     return a.time_fraction > b.time_fraction;
+                   });
 
   // Drop weaker modes whose tolerance window overlaps a stronger one (24 h
   // and 36 h windows are disjoint at 10% tolerance, but callers may pass
