@@ -11,52 +11,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bgp/rib.h"
 #include "core/assoc.h"
 #include "io/checkpoint.h"
-
-// ----------------------------------------------------- allocation counting
-//
-// Each test file is its own executable (tests/CMakeLists.txt), so a global
-// operator new override here observes only this binary. Counting is gated
-// on a flag so gtest's own bookkeeping does not pollute the counts.
-
-namespace {
-
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-struct AllocationScope {
-  AllocationScope() {
-    g_alloc_count.store(0, std::memory_order_relaxed);
-    g_count_allocs.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationScope() { g_count_allocs.store(false, std::memory_order_relaxed); }
-  std::uint64_t count() const {
-    return g_alloc_count.load(std::memory_order_relaxed);
-  }
-};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dynamips {
 namespace {
@@ -204,6 +168,15 @@ cdn::AssociationLog make_log(std::uint32_t seed, std::size_t records) {
 // have stopped growing. The generous bound (vs thousands of records) is
 // there to catch a reintroduced per-record or per-/64 allocation, not to
 // play code golf.
+// The counting operator new is linked in, so a bound below cannot pass
+// just because nothing was counted.
+TEST(FlatMap, AllocationScopeCountsOperatorNew) {
+  AllocationScope scope;
+  void* p = ::operator new(64);
+  ::operator delete(p);
+  EXPECT_EQ(scope.count(), 1u);
+}
+
 TEST(FlatMap, CdnAddLoopIsAllocationLeanInSteadyState) {
   core::CdnAnalyzer analyzer({}, {});
   for (std::uint32_t seed = 0; seed < 8; ++seed)
