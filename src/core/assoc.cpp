@@ -1,9 +1,11 @@
 #include "core/assoc.h"
 
 #include <algorithm>
+#include <new>
 
 #include "io/checkpoint.h"
 #include "stats/extsort.h"
+#include "stats/radix_sort.h"
 
 namespace dynamips::core {
 
@@ -28,12 +30,23 @@ struct Pair {
   std::uint64_t net64;
 };
 
+/// Radix key of a v4 prefix: exactly Prefix4's (address, length) order.
+std::uint64_t v4_key(const net::Prefix4& p) {
+  return (std::uint64_t(p.address().value()) << 8) | std::uint64_t(p.length());
+}
+
+/// Pairs reach the sort in net64 order and unique, so a stable sort on v4
+/// alone yields the (v4, net64) order this comparator spells out — the
+/// external sorter keeps the full comparison.
 struct PairLess {
   bool operator()(const Pair& a, const Pair& b) const {
     if (a.v4 != b.v4) return a.v4 < b.v4;
     return a.net64 < b.net64;
   }
 };
+
+static_assert(sizeof(Pair) <= sizeof(Tuple) && alignof(Pair) <= alignof(Tuple),
+              "the pairs reuse the tuples' storage");
 
 }  // namespace
 
@@ -48,20 +61,28 @@ void CdnAnalyzer::add_log(const cdn::AssociationLog& log) {
   auto& reg_durations = registry_durations_[cls];
   auto& zeros = zero_counts_[cls];
 
+  // Per-log scratch lives in the per-shard arena: after the first few logs
+  // the steady state allocates nothing per call.
+  arena_.reset();
+
   // The analysis proper is a pair of streaming consumers over sorted
-  // sequences — fed either from an in-memory stable sort (the default) or
-  // from an external-merge drain (spill_mb > 0). Both orders are
-  // identical by the sorter's stability contract, so both paths produce
+  // sequences — fed either from in-memory stable radix sorts (the default)
+  // or from an external-merge drain (spill_mb > 0). Both orders equal one
+  // std::stable_sort over the same input, so both paths produce
   // byte-identical analyzer state.
   //
   // Consumer 1: tuples sorted by /64. Segments association runs (same /24,
-  // gaps no longer than max_gap_days) and tallies the /64-level stats.
+  // gaps no longer than max_gap_days) and tallies the /64-level stats. It
+  // returns true the first time the current /64 meets a /24, i.e. exactly
+  // once per distinct (v4, net64) pair: a /64 sees only a few /24s, so a
+  // linear scan of `group_24s` deduplicates the pairs where they are built.
   bool in_group = false;
-  bool multi_24 = false;
   std::uint64_t cur_net64 = 0;
   std::uint32_t run_start = 0;
   std::uint32_t run_last = 0;
   net::Prefix4 run_24;
+  // Distinct /24s of the current /64, in first-seen order.
+  ArenaVector<net::Prefix4> group_24s{ArenaAllocator<net::Prefix4>(arena_)};
   auto close_run = [&] {
     double days = double(run_last - run_start + 1);
     asn_stats.durations_days.push_back(days);
@@ -69,7 +90,7 @@ void CdnAnalyzer::add_log(const cdn::AssociationLog& log) {
   };
   auto close_group = [&] {
     close_run();
-    if (multi_24) {
+    if (group_24s.size() > 1) {
       ++multi_24_64s_[mobile];
     } else {
       ++single_24_64s_[mobile];
@@ -82,12 +103,17 @@ void CdnAnalyzer::add_log(const cdn::AssociationLog& log) {
       cur_net64 = t.net64;
       ++asn_stats.unique_64s;
       zeros.add(classify_trailing_zeros(t.net64));
-      multi_24 = false;
       run_start = run_last = t.day;
       run_24 = t.v4;
-      return;
+      group_24s.assign(1, t.v4);
+      return true;
     }
-    multi_24 |= t.v4 != run_24;
+    bool new_24 = false;
+    if (t.v4 != run_24) {
+      new_24 = std::find(group_24s.begin(), group_24s.end(), t.v4) ==
+               group_24s.end();
+      if (new_24) group_24s.push_back(t.v4);
+    }
     bool gap = t.day > run_last + options_.max_gap_days;
     if (t.v4 != run_24 || gap) {
       close_run();
@@ -95,25 +121,24 @@ void CdnAnalyzer::add_log(const cdn::AssociationLog& log) {
       run_24 = t.v4;
     }
     run_last = t.day;
+    return new_24;
   };
   auto finish_tuples = [&] {
     if (in_group) close_group();
   };
 
-  // Consumer 2: (v4, net64) pairs in sorted order. Skips exact repeats and
-  // counts unique /64s per /24.
+  // Consumer 2: distinct (v4, net64) pairs in sorted order. Counts unique
+  // /64s per /24.
   bool have_pair = false;
-  Pair prev_pair{};
+  net::Prefix4 prev_24;
   std::uint32_t degree = 0;
   auto feed_pair = [&](const Pair& p) {
-    if (have_pair && p.v4 == prev_pair.v4 && p.net64 == prev_pair.net64)
-      return;
-    if (have_pair && p.v4 != prev_pair.v4) {
+    if (have_pair && p.v4 != prev_24) {
       degrees_.emplace_back(degree, mobile);
       degree = 0;
     }
     have_pair = true;
-    prev_pair = p;
+    prev_24 = p.v4;
     ++degree;
   };
   auto finish_pairs = [&] {
@@ -133,29 +158,41 @@ void CdnAnalyzer::add_log(const cdn::AssociationLog& log) {
 
   if (options_.spill_mb == 0) {
     // In-memory path: flatten the accepted tuples once, then group by /64
-    // with a single stable sort. Compared to a hash-map-of-vectors this
-    // does no per-/64 node allocation (the dominant cost on the sharded
-    // path) and iterates groups in a canonical order, independent of any
-    // container history. Both scratch vectors live in the per-shard arena:
-    // after the first few logs the steady state allocates nothing per
-    // call.
-    arena_.reset();
-    ArenaVector<Tuple> tuples{ArenaAllocator<Tuple>(arena_)};
-    tuples.reserve(log.records.size());
+    // with a stable radix sort (stats/radix_sort.h). Compared to a
+    // hash-map-of-vectors this does no per-/64 node allocation (the
+    // dominant cost on the sharded path) and iterates groups in a
+    // canonical order, independent of any container history.
+    //
+    // The log's working set is one arena request: room for every record's
+    // tuple, and a scratch region of the same size. The tuple sort
+    // ping-pongs between the two; the distinct pairs (usually far fewer
+    // than the tuples) are then built in the scratch region and sorted
+    // with the tuples' region, walked by then, as their scratch.
+    const std::size_t cap = log.records.size();
+    auto* tuples = static_cast<Tuple*>(
+        arena_.allocate(2 * cap * sizeof(Tuple), alignof(Tuple)));
+    Tuple* scratch = tuples + cap;
+    std::size_t n = 0;
     for (const auto& rec : log.records) {
       if (!accept(rec)) continue;
-      tuples.push_back({rec.v6_64.address().network64(), rec.day, rec.v4_24});
+      ::new (tuples + n++)
+          Tuple{rec.v6_64.address().network64(), rec.day, rec.v4_24};
     }
     // Stable: records arrive day-sorted per log; keep that order per /64.
-    std::stable_sort(tuples.begin(), tuples.end(), TupleLess{});
-    for (const Tuple& t : tuples) feed_tuple(t);
+    stats::radix_sort<8>(tuples, scratch, n,
+                         [](const Tuple& t) { return t.net64; });
+
+    auto* pairs = static_cast<Pair*>(static_cast<void*>(scratch));
+    std::size_t n_pairs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Tuple& t = tuples[i];
+      if (feed_tuple(t)) ::new (pairs + n_pairs++) Pair{t.v4, t.net64};
+    }
     finish_tuples();
 
-    ArenaVector<Pair> pairs{ArenaAllocator<Pair>(arena_)};
-    pairs.reserve(tuples.size());
-    for (const Tuple& t : tuples) pairs.push_back({t.v4, t.net64});
-    std::sort(pairs.begin(), pairs.end(), PairLess{});
-    for (const Pair& p : pairs) feed_pair(p);
+    stats::radix_sort<5>(pairs, static_cast<Pair*>(static_cast<void*>(tuples)),
+                         n_pairs, [](const Pair& p) { return v4_key(p.v4); });
+    for (std::size_t i = 0; i < n_pairs; ++i) feed_pair(pairs[i]);
     finish_pairs();
     return;
   }
@@ -178,8 +215,7 @@ void CdnAnalyzer::add_log(const cdn::AssociationLog& log) {
         {rec.v6_64.address().network64(), rec.day, rec.v4_24});
   }
   tuple_sorter.drain([&](const Tuple& t) {
-    feed_tuple(t);
-    pair_sorter.push({t.v4, t.net64});
+    if (feed_tuple(t)) pair_sorter.push({t.v4, t.net64});
   });
   finish_tuples();
   pair_sorter.drain(feed_pair);

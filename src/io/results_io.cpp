@@ -1,6 +1,8 @@
 #include "io/results_io.h"
 
+#include <charconv>
 #include <ostream>
+#include <string>
 
 namespace dynamips::io {
 
@@ -22,6 +24,36 @@ void write_one_curve(std::ostream& os, const std::string& as_name,
   for (std::size_t i = 0; i < thresholds.size(); ++i)
     os << as_name << ',' << split << ',' << thresholds[i] << ',' << curve[i]
        << '\n';
+}
+
+// The CDN writers emit about a million rows per study. They format each row
+// with std::to_chars into a local buffer and hand the stream large blocks.
+// Doubles use chars_format::general at precision 6, which is printf's %g —
+// the default ostream formatting — so the bytes equal `os << d`.
+constexpr std::size_t kFlushBytes = std::size_t(1) << 16;
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_double(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 6)
+                      .ptr);
+}
+
+void end_row(std::ostream& os, std::string& out) {
+  out.push_back('\n');
+  if (out.size() >= kFlushBytes) {
+    os.write(out.data(), std::streamsize(out.size()));
+    out.clear();
+  }
+}
+
+void flush_rows(std::ostream& os, const std::string& out) {
+  os.write(out.data(), std::streamsize(out.size()));
 }
 
 }  // namespace
@@ -71,21 +103,36 @@ void write_inference_csv(std::ostream& os, const core::AtlasStudy& study) {
 void write_assoc_durations_csv(std::ostream& os,
                                const core::CdnStudy& study) {
   os << "asn,name,mobile,duration_days\n";
+  std::string out;
+  std::string row_prefix;  // "asn,name,mobile," shared by one ASN's rows
   for (const auto& [asn, stats] : study.analyzer.by_asn()) {
     static const std::string kUnknown = "?";
     auto it = study.asn_names.find(asn);
     const std::string& name =
         it == study.asn_names.end() ? kUnknown : it->second;
-    for (double d : stats.durations_days)
-      os << asn << ',' << name << ',' << (stats.mobile ? 1 : 0) << ',' << d
-         << '\n';
+    row_prefix.clear();
+    append_uint(row_prefix, asn);
+    row_prefix.push_back(',');
+    row_prefix += name;
+    row_prefix += stats.mobile ? ",1," : ",0,";
+    for (double d : stats.durations_days) {
+      out += row_prefix;
+      append_double(out, d);
+      end_row(os, out);
+    }
   }
+  flush_rows(os, out);
 }
 
 void write_degrees_csv(std::ostream& os, const core::CdnStudy& study) {
   os << "degree,mobile\n";
-  for (const auto& [degree, mobile] : study.analyzer.degrees())
-    os << degree << ',' << (mobile ? 1 : 0) << '\n';
+  std::string out;
+  for (const auto& [degree, mobile] : study.analyzer.degrees()) {
+    append_uint(out, degree);
+    out += mobile ? ",1" : ",0";
+    end_row(os, out);
+  }
+  flush_rows(os, out);
 }
 
 void write_zero_boundaries_csv(std::ostream& os,

@@ -1,8 +1,10 @@
 // extsort.h — bounded-memory stable external merge sort.
 //
-// CdnAnalyzer::add_log sorts each log's tuples to group them by /64; at
-// paper scale (§4: 32.7 B association tuples) a single dense log can exceed
-// RAM, which is ROADMAP item 3's out-of-core requirement. ExternalSorter
+// CdnAnalyzer::add_log sorts each log's tuples by /64 and its distinct
+// (/24, /64) pairs by /24; at paper scale (§4: 32.7 B association tuples) a
+// single dense log can exceed RAM, which is ROADMAP item 3's out-of-core
+// requirement. With --spill-mb both sorts run through an ExternalSorter
+// instead of the in-memory radix sorts (stats/radix_sort.h). ExternalSorter
 // keeps the classic external-merge contract: push elements until done, then
 // drain them in sorted order. While the buffered bytes stay within the
 // budget everything is one in-memory stable_sort; past the budget, sorted
@@ -14,6 +16,8 @@
 // comparison ties toward the earlier run, so the drained order equals one
 // std::stable_sort over the entire pushed sequence — byte-identical
 // downstream results whether the budget was tiny, exact-fit, or never hit.
+// The in-memory radix sorts are stable too, so spilled and in-memory runs
+// of add_log feed its consumers the same sequences.
 // That equivalence is what lets --spill-mb stay out of the config
 // fingerprint: it bounds the working set, never the answer.
 //

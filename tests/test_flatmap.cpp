@@ -189,9 +189,8 @@ TEST(FlatMap, CdnAddLoopIsAllocationLeanInSteadyState) {
     analyzer.add(log);
     allocs = scope.count();
   }
-  // Per-/64 run durations still append to growable vectors (amortized),
-  // and stable_sort may grab a temp buffer; anything beyond a few dozen
-  // means per-record allocation came back.
+  // Per-/64 run durations still append to growable vectors (amortized);
+  // anything beyond a few dozen means per-record allocation came back.
   EXPECT_LE(allocs, 64u) << "CdnAnalyzer::add allocated " << allocs
                          << " times on a warm 4096-record log";
 }

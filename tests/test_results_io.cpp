@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "io/csv.h"
@@ -143,6 +144,64 @@ TEST(ResultsIo, ZeroBoundaries) {
     EXPECT_GE(frac, 0.0);
     EXPECT_LE(frac, 1.0);
   }
+}
+
+// The CDN writers format with std::to_chars into a block buffer; the bytes
+// must equal the former `os << value` formatting (%g at precision 6),
+// across block flushes and for durations large enough to print in
+// exponent form.
+TEST(ResultsIo, CdnWritersMatchStreamFormatting) {
+  core::AssocOptions opt;
+  opt.max_gap_days = 4000000000u;  // one run per /64, however long
+  core::CdnAnalyzer an(opt, {200});
+  auto record = [](std::uint32_t day, std::uint32_t v4, std::uint64_t net64,
+                   bgp::Asn asn) {
+    cdn::AssociationRecord r;
+    r.day = day;
+    r.v4_24 = net::Prefix4{net::IPv4Address{v4}, 24};
+    r.v6_64 = net::Prefix6{net::IPv6Address{net64, 0}, 64};
+    r.asn4 = r.asn6 = asn;
+    return r;
+  };
+  for (bgp::Asn asn : {100u, 200u, 300u}) {
+    cdn::AssociationLog log;
+    log.asn = asn;
+    std::uint64_t net64 = 0x20010db800000000ull;
+    for (std::uint32_t last : {0u, 5u, 99998u, 999998u, 999999u, 1234566u,
+                               123456788u, 290000000u}) {
+      log.records.push_back(record(0, 0x0a000000u, ++net64, asn));
+      log.records.push_back(record(last, 0x0a000000u, net64, asn));
+    }
+    // Enough one-day rows to flush the writer's buffer several times.
+    for (std::uint32_t i = 0; i < 30000; ++i)
+      log.records.push_back(
+          record(290000000u, 0x0b000000u + (i << 8), ++net64, asn));
+    std::stable_sort(log.records.begin(), log.records.end(),
+                     [](const auto& a, const auto& b) { return a.day < b.day; });
+    an.add_log(log);
+  }
+  core::CdnStudy study{an.snapshot(), {{100, "DTAG"}, {200, "EE Ltd"}}};
+
+  std::ostringstream want_durations, want_degrees;
+  want_durations << "asn,name,mobile,duration_days\n";
+  for (const auto& [asn, stats] : study.analyzer.by_asn()) {
+    auto it = study.asn_names.find(asn);
+    const std::string name = it == study.asn_names.end() ? "?" : it->second;
+    for (double d : stats.durations_days)
+      want_durations << asn << ',' << name << ',' << (stats.mobile ? 1 : 0)
+                     << ',' << d << '\n';
+  }
+  want_degrees << "degree,mobile\n";
+  for (const auto& [degree, mobile] : study.analyzer.degrees())
+    want_degrees << degree << ',' << (mobile ? 1 : 0) << '\n';
+
+  std::ostringstream durations, degrees;
+  write_assoc_durations_csv(durations, study);
+  write_degrees_csv(degrees, study);
+  EXPECT_EQ(durations.str(), want_durations.str());
+  EXPECT_EQ(degrees.str(), want_degrees.str());
+  EXPECT_NE(durations.str().find(",1.23457e+06\n"), std::string::npos);
+  EXPECT_GT(durations.str().size(), std::size_t(4) << 16);
 }
 
 }  // namespace
