@@ -8,9 +8,13 @@
 //  * zero overhead when disabled: a study run with `metrics == nullptr`
 //    records nothing and produces byte-identical results to a metered run;
 //  * thread-count invariance: every counter and histogram in a study's
-//    metrics document is identical for threads=1 and threads=4.
+//    metrics document is identical for threads=1 and threads=4;
+//  * tools/check_metrics.py --compare-to exempts timing-derived gauges by
+//    schema, with no flag, and still fails on a differing counter.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -19,6 +23,8 @@
 #include <thread>
 #include <unordered_set>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "core/pipeline.h"
 #include "io/results_io.h"
@@ -552,6 +558,67 @@ TEST(ObsPipeline, MetricsJsonStableAcrossIdenticalRuns) {
   };
   EXPECT_EQ(obs::metrics_to_json(strip(r1.snapshot()), test_meta()),
             obs::metrics_to_json(strip(r2.snapshot()), test_meta()));
+}
+
+// ------------------------------------------ check_metrics.py --compare-to
+
+bool python3_available() {
+  return std::system("python3 --version > /dev/null 2>&1") == 0;
+}
+
+std::string metrics_doc(std::uint64_t tuples, double imbalance, double lag,
+                        double backlog, double rss) {
+  std::ostringstream os;
+  os << "{\"schema\": \"dynamips.metrics.v1\", \"meta\": {}, "
+     << "\"counters\": {\"cdn.tuples\": " << tuples << "}, "
+     << "\"gauges\": {\"cdn.shards\": 4, \"cdn.shard_imbalance\": "
+     << imbalance << ", \"atlas.shard_imbalance\": " << imbalance
+     << ", \"stream.lag_seconds\": " << lag
+     << ", \"stream.backlog_batches\": " << backlog
+     << ", \"process.peak_rss_bytes\": " << rss << "}, "
+     << "\"phases\": {}, \"histograms\": {}}\n";
+  return os.str();
+}
+
+/// Exit status of `check_metrics.py CANDIDATE --compare-to=REFERENCE`.
+int compare_metrics(const std::string& candidate,
+                    const std::string& reference) {
+  namespace fs = std::filesystem;
+  // One directory per test: ctest runs the cases as parallel processes.
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      (std::string("check_metrics_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  fs::create_directories(dir);
+  std::ofstream(dir / "cand.json") << candidate;
+  std::ofstream(dir / "ref.json") << reference;
+  const std::string cmd =
+      "python3 '" + (fs::path(DYNAMIPS_TOOLS_DIR) / "check_metrics.py").string() +
+      "' '" + (dir / "cand.json").string() + "' '--compare-to=" +
+      (dir / "ref.json").string() + "' > /dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(CheckMetrics, TimingGaugesAreExemptBySchema) {
+  if (!python3_available()) GTEST_SKIP() << "python3 not on PATH";
+  // Same counters, every timing-derived gauge different: passes with no
+  // --ignore-gauges flag.
+  EXPECT_EQ(compare_metrics(metrics_doc(100, 1.0, 0.5, 2, 1e8),
+                            metrics_doc(100, 1.7, 9.0, 11, 3e8)),
+            0);
+  // A counter that differs still fails, timing gauges or not.
+  EXPECT_EQ(compare_metrics(metrics_doc(101, 1.0, 0.5, 2, 1e8),
+                            metrics_doc(100, 1.0, 0.5, 2, 1e8)),
+            1);
+}
+
+TEST(CheckMetrics, OtherGaugesStillCompareExactly) {
+  if (!python3_available()) GTEST_SKIP() << "python3 not on PATH";
+  std::string cand = metrics_doc(100, 1.0, 0.5, 2, 1e8);
+  const std::string ref = cand;
+  cand.replace(cand.find("\"cdn.shards\": 4"), 15, "\"cdn.shards\": 1");
+  EXPECT_EQ(compare_metrics(cand, ref), 1);
 }
 
 }  // namespace

@@ -50,10 +50,9 @@ matching counter names from the two-way diff; the crash-resume CI job
 uses `--ignore-counters='checkpoint.*'` because an interrupted+resumed
 run legitimately carries supervision counters its straight-through
 reference lacks. `--ignore-gauges=PAT[,PAT...]` does the same for
-gauges that legitimately vary between equivalent runs (shard counts
-and imbalance when the two runs used different thread counts,
-`stream.lag_seconds`, `process.peak_rss_bytes`). Composes with
-`--require-counters`.
+gauges that legitimately vary between equivalent runs, such as the
+shard counts when the two runs used different thread counts. Composes
+with `--require-counters`.
 
 `--ignore-fault-counters` is shorthand for the fault-path exemption
 list chaos runs need: it appends `io.retries`/`io.giveups`/
@@ -68,6 +67,12 @@ In --compare-to mode the `resource.*` / `supervise.*` families
 they exist only on runs with budgets or `--supervise` and move with
 pressure/restarts by design, while the study outputs they must never
 change stay gated exactly.
+
+Gauges derived from wall-clock timing or process memory are exempt by
+schema in --compare-to mode, with no flag: shard imbalance
+(`*.shard_imbalance`), `stream.lag_seconds`, `stream.backlog_batches`
+and `process.peak_rss_bytes` (see TIMING_GAUGE_PATTERNS). They differ
+between any two runs of the same study.
 
 Exit status: 0 on pass, 1 on mismatch, 2 on usage/format errors.
 Stdlib-only by design (runs in bare CI containers).
@@ -103,6 +108,16 @@ FAULT_COUNTER_PATTERNS = [
 GOVERNOR_METRIC_PATTERNS = [
     "resource.*",
     "supervise.*",
+]
+
+# Gauges read off the clock or the process (shard busy-time spread, batch
+# file age, the number of batches waiting at a poll, peak RSS). Two runs of
+# the same study never agree on them, so --compare-to always exempts them.
+TIMING_GAUGE_PATTERNS = [
+    "*.shard_imbalance",
+    "stream.lag_seconds",
+    "stream.backlog_batches",
+    "process.peak_rss_bytes",
 ]
 
 
@@ -375,10 +390,12 @@ def main(argv):
         return fail("--ignore-counters/--ignore-gauges only apply with "
                     "--compare-to\n" + usage)
     if compare_to is not None:
-        # Always-on exemption: governor/supervisor telemetry varies with
-        # pressure and restarts by design (see GOVERNOR_METRIC_PATTERNS).
+        # Always-on exemptions: governor/supervisor telemetry varies with
+        # pressure and restarts by design (see GOVERNOR_METRIC_PATTERNS),
+        # timing-derived gauges with every run (TIMING_GAUGE_PATTERNS).
         ignore_counters = ignore_counters + GOVERNOR_METRIC_PATTERNS
-        ignore_gauges = ignore_gauges + GOVERNOR_METRIC_PATTERNS
+        ignore_gauges = (ignore_gauges + GOVERNOR_METRIC_PATTERNS +
+                         TIMING_GAUGE_PATTERNS)
     if len(args) != 2 and not (len(args) == 1 and (required or compare_to)):
         return fail(usage)
 
